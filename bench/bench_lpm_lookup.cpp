@@ -22,6 +22,7 @@
 #include "cellspot/exec/executor.hpp"
 #include "cellspot/netaddr/flat_lpm.hpp"
 #include "cellspot/netaddr/prefix_trie.hpp"
+#include "cellspot/obs/metrics.hpp"
 #include "cellspot/util/rng.hpp"
 
 namespace {
@@ -124,10 +125,15 @@ int main(int argc, char** argv) {
 
   // End-to-end anchor: a Tiny-world pipeline run whose classify and
   // aggregate stages resolve origins through the same batch engine.
+  // Its stage spans are copied out before the bench harness runs.
   analysis::Pipeline::Config pipe_config;
   pipe_config.world = simnet::WorldConfig::Tiny();
   analysis::Pipeline pipeline(pipe_config);
   (void)pipeline.Run();
+  std::vector<obs::MetricsSnapshot::SpanRow> stages;
+  for (const auto& row : obs::MetricsRegistry::Global().Snapshot().spans) {
+    if (row.depth == 0 && row.path.starts_with("pipeline.")) stages.push_back(row);
+  }
 
   exec::Executor& executor = exec::Executor::Shared();
   const int rc = bench::RunBench(argc, argv, "lpm_lookup", [&]() -> std::uint64_t {
@@ -185,9 +191,9 @@ int main(int argc, char** argv) {
     std::printf("  flat chunked     %8.2f ms  (executor, %zu-address grain, %u threads)\n",
                 chunked_ms, kGrain, executor.thread_count());
     std::printf("end-to-end (Tiny world pipeline, warm-start path in README):\n");
-    for (const analysis::StageTiming& t : pipeline.timings()) {
-      std::printf("  pipeline.%-18s %8.2f ms  (%zu items)\n", t.stage.c_str(),
-                  t.wall_ms, t.items);
+    for (const obs::MetricsSnapshot::SpanRow& row : stages) {
+      std::printf("  %-27s %8.2f ms  (%llu items)\n", row.path.c_str(), row.total_ms,
+                  static_cast<unsigned long long>(row.items));
     }
     return trie_hits;
   });

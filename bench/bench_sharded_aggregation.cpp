@@ -3,10 +3,10 @@
 // Setup (untimed): the shared paper-scale experiment up to the classify
 // stage — RIB, classified subnets, BEACON and DEMAND datasets. Each rep
 // then aggregates the candidate-AS set four ways over the identical
-// inputs: the sequential reference engine, then the sharded engine at
-// 1, 2 and 8 shards. Every sharded output is fingerprinted (doubles
-// bit-cast, prefixes byte-for-byte) against the sequential one; any
-// divergence zeroes the item count, which trips the harness's
+// inputs: the sequential reference (tests/support), then the sharded
+// engine at 1, 2 and 8 shards. Every sharded output is fingerprinted
+// (doubles bit-cast, prefixes byte-for-byte) against the sequential
+// one; any divergence zeroes the item count, which trips the harness's
 // items-consistency check and fails the run with exit 3. The printed
 // 8-shard speedup is the acceptance number: it must stay >= 2x over the
 // sequential engine at the default scale (see ISSUE/DESIGN.md §14).
@@ -20,6 +20,7 @@
 #include "bench_common.hpp"
 #include "cellspot/core/sharded_aggregation.hpp"
 #include "cellspot/exec/executor.hpp"
+#include "support/sequential_aggregation.hpp"
 
 namespace {
 
@@ -77,8 +78,9 @@ int main(int argc, char** argv) {
     static const analysis::Experiment& exp = analysis::SharedPaperExperiment();
     static exec::Executor& executor = exec::Executor::Shared();
     auto start = std::chrono::steady_clock::now();
-    const std::vector<core::AsAggregate> sequential = core::AggregateCandidateAsesSequential(
-        exp.world.rib(), exp.classified, exp.beacons, exp.demand, executor);
+    const std::vector<core::AsAggregate> sequential =
+        test_support::AggregateCandidateAsesSequential(exp.world.rib(), exp.classified,
+                                                       exp.beacons, exp.demand, executor);
     const double sequential_ms = MsSince(start);
     const std::string want = Fingerprint(sequential);
 

@@ -3,10 +3,12 @@
 //   BuildWorld -> GenerateDatasets -> Classify -> Aggregate -> Filter
 //
 // Each stage runs its prerequisites on demand, caches its result and
-// records wall time + item count. Later stages can be re-run with a
-// different configuration without rebuilding the earlier ones — the
-// threshold/filter ablation benches re-classify one world dozens of
-// times instead of regenerating it per variant.
+// traces itself as a "pipeline.<stage>" obs::TraceSpan carrying its
+// item count (the span rows of obs::MetricsRegistry::Global()). Later
+// stages can be re-run with a different configuration without
+// rebuilding the earlier ones — the threshold/filter ablation benches
+// re-classify one world dozens of times instead of regenerating it per
+// variant.
 //
 // Every stage executes on the pipeline's executor and produces output
 // byte-identical at any thread count (see DESIGN.md: per-shard RNG
@@ -14,7 +16,6 @@
 // happens in ordered sequential merges).
 #pragma once
 
-#include <cstddef>
 #include <memory>
 #include <string>
 #include <vector>
@@ -31,30 +32,17 @@ class StageCache;
 
 namespace cellspot::analysis {
 
-/// Wall time and output size of one executed stage, in execution order.
-/// Stages re-run after an invalidation append new entries.
-struct StageTiming {
-  std::string stage;
-  double wall_ms = 0.0;
-  std::size_t items = 0;
-};
-
 class Pipeline {
  public:
   struct Config {
     simnet::WorldConfig world = {};
     core::ClassifierConfig classifier = {};
     core::AsFilterConfig filters = {};
-    /// Aggregation shard count for the Aggregate stage; 0 picks
-    /// core::DefaultAggregationShards(). Output is byte-identical at
-    /// any value — this is purely a parallelism/memory knob.
-    std::size_t aggregation_shards = 0;
     /// When non-empty, stage outputs are cached as binary snapshots in
     /// this directory (see src/snapshot): each stage probes the cache
     /// before computing and a hit skips the stage entirely — no
-    /// pipeline.<stage> span, no timings() entry, byte-identical
-    /// results. Corrupt or stale snapshots are quarantined and the
-    /// stage recomputes.
+    /// pipeline.<stage> span, byte-identical results. Corrupt or stale
+    /// snapshots are quarantined and the stage recomputes.
     std::string snapshot_dir = {};
   };
 
@@ -112,22 +100,16 @@ class Pipeline {
   /// afterwards.
   [[nodiscard]] Experiment TakeExperiment() && { return std::move(exp_); }
 
-  /// One entry per executed stage, in execution order.
-  [[nodiscard]] const std::vector<StageTiming>& timings() const noexcept {
-    return timings_;
-  }
-
  private:
   /// Give the world's RIB its compiled LPM engine: adopt the mmap-served
   /// cache entry when one matches (warm start — no build at all), else
-  /// compile it now (timed as stage "compile_lpm") and cache it.
+  /// compile it now (traced as stage "compile_lpm") and cache it.
   void PrimeRibLpm();
 
   Config config_;
   exec::Executor* executor_;
   std::unique_ptr<snapshot::StageCache> cache_;  // null = caching disabled
   Experiment exp_;
-  std::vector<StageTiming> timings_;
   bool has_world_ = false;
   bool has_datasets_ = false;
   bool external_datasets_ = false;  // set_datasets used: the stage cache's

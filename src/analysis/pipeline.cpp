@@ -1,6 +1,5 @@
 #include "cellspot/analysis/pipeline.hpp"
 
-#include <chrono>
 #include <cstdlib>
 #include <stdexcept>
 #include <utility>
@@ -12,34 +11,6 @@
 #include "cellspot/util/parse.hpp"
 
 namespace cellspot::analysis {
-
-namespace {
-
-class StageClock {
- public:
-  explicit StageClock(std::vector<StageTiming>& timings, std::string stage)
-      : timings_(timings), stage_(std::move(stage)),
-        span_("pipeline." + stage_),
-        // cellspot-lint: allow(L003) stage wall-clock timing is telemetry; no pipeline output depends on it
-        start_(std::chrono::steady_clock::now()) {}
-
-  void Finish(std::size_t items) {
-    // cellspot-lint: allow(L003) stage wall-clock timing is telemetry; no pipeline output depends on it
-    const auto elapsed = std::chrono::steady_clock::now() - start_;
-    span_.set_items(static_cast<std::uint64_t>(items));
-    timings_.push_back(
-        {std::move(stage_),
-         std::chrono::duration<double, std::milli>(elapsed).count(), items});
-  }
-
- private:
-  std::vector<StageTiming>& timings_;
-  std::string stage_;
-  obs::TraceSpan span_;  // nests exec.batch spans under pipeline.<stage>
-  std::chrono::steady_clock::time_point start_;
-};
-
-}  // namespace
 
 Pipeline::Pipeline(Config config) : Pipeline(std::move(config), exec::Executor::Shared()) {}
 
@@ -67,10 +38,10 @@ const simnet::World& Pipeline::BuildWorld() {
     {
       // Scoped so the compile_lpm span below is a top-level stage, not a
       // child nested under pipeline.build_world.
-      StageClock clock(timings_, "build_world");
+      obs::TraceSpan span("pipeline.build_world");
       exp_.world = simnet::World::Generate(config_.world, *executor_);
       has_world_ = true;
-      clock.Finish(exp_.world.subnets().size());
+      span.set_items(exp_.world.subnets().size());
     }
     if (cache_) cache_->StoreWorld(exp_.world);
     PrimeRibLpm();
@@ -88,10 +59,7 @@ void Pipeline::PrimeRibLpm() {
     }
   }
   {
-    // Deliberately NOT a StageTiming: the five-stage timings() list is
-    // part of the pipeline's public contract (pipeline_determinism_test
-    // pins it). The compile still traces as its own top-level span, and
-    // RoutingTable::Flat() records lpm.build / lpm.segments metrics.
+    // RoutingTable::Flat() also records lpm.build / lpm.segments.
     obs::TraceSpan span("pipeline.compile_lpm");
     span.set_items(rib.Flat().segment_count());
   }
@@ -109,11 +77,11 @@ void Pipeline::GenerateDatasets() {
       return;
     }
   }
-  StageClock clock(timings_, "generate_datasets");
+  obs::TraceSpan span("pipeline.generate_datasets");
   exp_.beacons = cdn::BeaconGenerator(exp_.world).GenerateDataset(*executor_);
   exp_.demand = cdn::DemandGenerator(exp_.world).GenerateDataset(*executor_);
   has_datasets_ = true;
-  clock.Finish(exp_.beacons.block_count() + exp_.demand.block_count());
+  span.set_items(exp_.beacons.block_count() + exp_.demand.block_count());
   if (cache_) cache_->StoreDatasets(config_.world, exp_.beacons, exp_.demand);
 }
 
@@ -132,11 +100,11 @@ const core::ClassifiedSubnets& Pipeline::Classify() {
         return exp_.classified;
       }
     }
-    StageClock clock(timings_, "classify");
+    obs::TraceSpan span("pipeline.classify");
     const core::SubnetClassifier classifier(config_.classifier);
     exp_.classified = classifier.Classify(exp_.beacons, *executor_);
     has_classified_ = true;
-    clock.Finish(exp_.classified.ratios().size());
+    span.set_items(exp_.classified.ratios().size());
     if (use_cache) cache_->StoreClassified(config_.world, config_.classifier, exp_.classified);
   }
   return exp_.classified;
@@ -145,16 +113,13 @@ const core::ClassifiedSubnets& Pipeline::Classify() {
 const std::vector<core::AsAggregate>& Pipeline::Aggregate() {
   if (!has_candidates_) {
     Classify();
-    StageClock clock(timings_, "aggregate");
-    // The sharded engine traces one "aggregate.shard" span per shard
-    // (nested under pipeline.aggregate on the calling thread) and sets
-    // the aggregate.pool.* gauges; the stage timing above stays the
-    // single "aggregate" entry the five-stage contract pins.
+    // The engine's "aggregate.shard" spans nest under this one when a
+    // shard runs on the calling thread.
+    obs::TraceSpan span("pipeline.aggregate");
     exp_.candidates = core::AggregateCandidateAsesSharded(
-        exp_.world.rib(), exp_.classified, exp_.beacons, exp_.demand, *executor_,
-        core::AggregationConfig{.shards = config_.aggregation_shards});
+        exp_.world.rib(), exp_.classified, exp_.beacons, exp_.demand, *executor_);
     has_candidates_ = true;
-    clock.Finish(exp_.candidates.size());
+    span.set_items(exp_.candidates.size());
   }
   return exp_.candidates;
 }
@@ -162,11 +127,11 @@ const std::vector<core::AsAggregate>& Pipeline::Aggregate() {
 const core::AsFilterOutcome& Pipeline::Filter() {
   if (!has_filtered_) {
     Aggregate();
-    StageClock clock(timings_, "filter");
+    obs::TraceSpan span("pipeline.filter");
     exp_.filtered =
         core::ApplyAsFilters(exp_.candidates, exp_.world.as_db(), config_.filters);
     has_filtered_ = true;
-    clock.Finish(exp_.filtered.kept.size());
+    span.set_items(exp_.filtered.kept.size());
   }
   return exp_.filtered;
 }

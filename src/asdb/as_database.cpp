@@ -99,12 +99,7 @@ void RoutingTable::Announce(const netaddr::Prefix& prefix, AsNumber asn) {
 }
 
 std::optional<AsNumber> RoutingTable::OriginOf(const netaddr::IpAddress& addr) const {
-  const AsNumber* found;
-  if (const FlatRib* flat = flat_ptr_.load(std::memory_order_acquire)) {
-    found = flat->LongestMatch(addr);
-  } else {
-    found = trie_.LongestMatch(addr);
-  }
+  const AsNumber* found = Flat().LongestMatch(addr);
   if (found == nullptr) return std::nullopt;
   return *found;
 }

@@ -39,12 +39,13 @@ class AsDatabase {
 
 /// Announced-prefix table with longest-prefix-match origin lookup.
 ///
-/// Lookups run against a compiled netaddr::FlatLpm when one is present —
-/// built lazily on first use (Flat()) or adopted precompiled from a
-/// memory-mapped snapshot (AdoptFlat) — and fall back to the radix trie
-/// otherwise, with bit-identical results either way. Announce() (not
-/// thread-safe, like all mutation) invalidates the compiled engine;
-/// concurrent const lookups are safe.
+/// Every longest-prefix lookup (OriginOf, OriginOfBatch) runs against
+/// the compiled netaddr::FlatLpm — built lazily on first use (Flat()) or
+/// adopted precompiled from a memory-mapped snapshot (AdoptFlat). The
+/// radix trie holds the announcements: it answers exact-prefix queries
+/// and size(), and it is the input the engine compiles from. Announce()
+/// (not thread-safe, like all mutation) invalidates the compiled
+/// engine; concurrent const lookups are safe.
 class RoutingTable {
  public:
   using FlatRib = netaddr::FlatLpm<AsNumber>;
@@ -60,7 +61,8 @@ class RoutingTable {
   /// same prefix overwrite, mimicking a most-recent-RIB view).
   void Announce(const netaddr::Prefix& prefix, AsNumber asn);
 
-  /// Origin AS of the most specific covering announcement, if any.
+  /// Origin AS of the most specific covering announcement, if any,
+  /// from the compiled engine (built on first use).
   [[nodiscard]] std::optional<AsNumber> OriginOf(const netaddr::IpAddress& addr) const;
 
   /// Batch origin lookup over the compiled engine (built on first use):

@@ -1,91 +1,9 @@
 #include "cellspot/core/as_pipeline.hpp"
 
-#include <algorithm>
 #include <utility>
 #include <vector>
 
-#include "aggregation_items.hpp"
-#include "cellspot/core/sharded_aggregation.hpp"
-#include "cellspot/exec/executor.hpp"
-#include "cellspot/util/stable_map.hpp"
-
 namespace cellspot::core {
-
-namespace {
-
-using asdb::AsNumber;
-
-}  // namespace
-
-std::vector<AsAggregate> AggregateCandidateAses(const asdb::RoutingTable& rib,
-                                                const ClassifiedSubnets& classified,
-                                                const dataset::BeaconDataset& beacons,
-                                                const dataset::DemandDataset& demand) {
-  return AggregateCandidateAses(rib, classified, beacons, demand,
-                                exec::Executor::Shared());
-}
-
-std::vector<AsAggregate> AggregateCandidateAses(const asdb::RoutingTable& rib,
-                                                const ClassifiedSubnets& classified,
-                                                const dataset::BeaconDataset& beacons,
-                                                const dataset::DemandDataset& demand,
-                                                exec::Executor& executor) {
-  return AggregateCandidateAsesSharded(rib, classified, beacons, demand, executor);
-}
-
-std::vector<AsAggregate> AggregateCandidateAsesSequential(
-    const asdb::RoutingTable& rib, const ClassifiedSubnets& classified,
-    const dataset::BeaconDataset& beacons, const dataset::DemandDataset& demand,
-    exec::Executor& executor) {
-  const detail::ResolvedItems items =
-      detail::ResolveAggregationItems(rib, beacons, demand, executor);
-
-  // StableMap: the candidate extraction below iterates this map, so its
-  // order must come from the dataset insertion sequence, not hashing.
-  util::StableMap<AsNumber, AsAggregate> by_asn;
-  auto slot = [&](AsNumber asn) -> AsAggregate& {
-    AsAggregate& agg = by_asn[asn];
-    agg.asn = asn;
-    return agg;
-  };
-
-  // Beacon-side aggregation: observed blocks, hits, cellular detections.
-  for (const detail::BeaconItem& item : items.beacons) {
-    if (!item.routed) continue;
-    const netaddr::Prefix& block = *item.block;
-    AsAggregate& agg = slot(item.origin);
-    agg.beacon_hits += item.stats->hits;
-    if (classified.RatioOf(block) != nullptr) {
-      if (block.family() == netaddr::Family::kIpv4) ++agg.observed_blocks_v4;
-      else ++agg.observed_blocks_v6;
-    }
-    if (classified.IsCellular(block)) {
-      if (block.family() == netaddr::Family::kIpv4) ++agg.cell_blocks_v4;
-      else ++agg.cell_blocks_v6;
-      agg.cellular_blocks.push_back(block);
-      agg.cell_demand_du += demand.DemandOf(block);
-    }
-  }
-
-  // Demand-side aggregation covers blocks with no beacons at all.
-  for (const detail::DemandItem& item : items.demand) {
-    if (!item.routed) continue;
-    AsAggregate& agg = slot(item.origin);
-    agg.total_demand_du += item.du;
-    ++agg.demand_blocks;
-  }
-
-  std::vector<AsAggregate> candidates;
-  candidates.reserve(by_asn.size());
-  for (auto& [asn, agg] : by_asn) {
-    if (agg.cell_blocks_v4 + agg.cell_blocks_v6 == 0) continue;
-    std::sort(agg.cellular_blocks.begin(), agg.cellular_blocks.end());
-    candidates.push_back(std::move(agg));
-  }
-  std::sort(candidates.begin(), candidates.end(),
-            [](const AsAggregate& a, const AsAggregate& b) { return a.asn < b.asn; });
-  return candidates;
-}
 
 AsFilterOutcome ApplyAsFilters(std::vector<AsAggregate> candidates,
                                const asdb::AsDatabase& as_db,

@@ -14,7 +14,8 @@
 
 namespace cellspot::core {
 
-/// Everything the pipeline knows about one AS after aggregation.
+/// Everything the pipeline knows about one AS after aggregation
+/// (AggregateCandidateAsesSharded, sharded_aggregation.hpp).
 struct AsAggregate {
   asdb::AsNumber asn = 0;
 
@@ -43,34 +44,6 @@ struct AsAggregate {
                : 0.0;
   }
 };
-
-/// Joins classification, beacons and demand by origin AS (via the RIB).
-/// Only ASes with at least one classified-cellular block are returned —
-/// the §5 "straw-man" candidate set (1,263 ASes in the paper).
-///
-/// Runs the sharded engine (sharded_aggregation.hpp) at the default
-/// shard count: per-AS accumulation is partitioned by a deterministic
-/// ASN hash, so output stays byte-identical at any shard count and any
-/// thread count.
-[[nodiscard]] std::vector<AsAggregate> AggregateCandidateAses(
-    const asdb::RoutingTable& rib, const ClassifiedSubnets& classified,
-    const dataset::BeaconDataset& beacons, const dataset::DemandDataset& demand);
-
-/// Same, on an explicit executor.
-[[nodiscard]] std::vector<AsAggregate> AggregateCandidateAses(
-    const asdb::RoutingTable& rib, const ClassifiedSubnets& classified,
-    const dataset::BeaconDataset& beacons, const dataset::DemandDataset& demand,
-    exec::Executor& executor);
-
-/// The reference single-merge engine: longest-prefix-match lookups run
-/// in parallel, then one sequential accumulation in dataset iteration
-/// order. Kept as the differential baseline for the sharded engine
-/// (their outputs must match bit for bit, floats included) and as the
-/// comparison point for bench_sharded_aggregation.
-[[nodiscard]] std::vector<AsAggregate> AggregateCandidateAsesSequential(
-    const asdb::RoutingTable& rib, const ClassifiedSubnets& classified,
-    const dataset::BeaconDataset& beacons, const dataset::DemandDataset& demand,
-    exec::Executor& executor);
 
 /// §5.1 filter heuristics with the paper's default cut-offs.
 struct AsFilterConfig {

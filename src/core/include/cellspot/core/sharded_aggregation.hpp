@@ -1,11 +1,11 @@
-// Sharded candidate-AS aggregation (DESIGN.md §14): partition the
+// Candidate-AS aggregation (§5, DESIGN.md §14): partition the
 // beacon/demand items by a deterministic hash of their origin AS, let
-// every shard accumulate independently on the executor with pooled
-// per-AS storage, then merge the per-shard candidate lists in canonical
+// every shard fold its items into per-AS aggregates independently on
+// the executor, then merge the per-shard candidate lists in canonical
 // ASN order. Because each AS's items land wholly in one shard and keep
 // their dataset iteration order there, every per-AS floating-point fold
-// runs in exactly the sequence the sequential merge uses — the output
-// is byte-identical at any shard × thread combination.
+// runs in exactly the sequence a single sequential pass uses — the
+// output is byte-identical at any shard × thread combination.
 #pragma once
 
 #include <cstddef>
@@ -15,21 +15,15 @@
 
 namespace cellspot::core {
 
-/// Knobs for the sharded engine. The defaults match what the pipeline
-/// stage and the CLI use; tests pin explicit shard counts.
+/// Shard count used when AggregationConfig leaves it at 0.
+inline constexpr std::size_t kAggregationShards = 8;
+
 struct AggregationConfig {
-  /// Number of aggregation shards; 0 picks DefaultAggregationShards().
+  /// Number of aggregation shards; 0 picks kAggregationShards.
+  /// Output is byte-identical at any value: tests and the bench vary
+  /// it, every other caller passes {}.
   std::size_t shards = 0;
-
-  /// Cellular-block chunk nodes carved per pool slab (sizing knob for
-  /// util::FixedPool; output-invariant, only placement changes).
-  std::size_t pool_slab_chunks = 256;
 };
-
-/// Shard count used when the config leaves it at 0: the
-/// CELLSPOT_AGG_SHARDS environment variable when set (throws
-/// std::invalid_argument unless it parses as an integer >= 1), else 8.
-[[nodiscard]] std::size_t DefaultAggregationShards();
 
 /// Deterministic shard key: FNV-1a-64 over the ASN's little-endian
 /// bytes, reduced mod `shard_count`. Never reads global state — the
@@ -37,10 +31,11 @@ struct AggregationConfig {
 /// machine, which is what lets per-shard snapshot sections round-trip.
 [[nodiscard]] std::size_t ShardOfAs(asdb::AsNumber asn, std::size_t shard_count) noexcept;
 
-/// Sharded counterpart of AggregateCandidateAses: same contract, same
-/// bytes, parallel per-shard accumulation. Emits one "aggregate.shard"
-/// trace span per shard and records pool high-water-mark gauges
-/// (aggregate.pool.*) after the join.
+/// Joins classification, beacons and demand by origin AS (via the RIB).
+/// Only ASes with at least one classified-cellular block are returned,
+/// sorted by ASN — the §5 "straw-man" candidate set (1,263 ASes in the
+/// paper). Emits one "aggregate.shard" trace span per shard and sets
+/// the "aggregate.shards" gauge.
 [[nodiscard]] std::vector<AsAggregate> AggregateCandidateAsesSharded(
     const asdb::RoutingTable& rib, const ClassifiedSubnets& classified,
     const dataset::BeaconDataset& beacons, const dataset::DemandDataset& demand,

@@ -1,19 +1,14 @@
 #include "cellspot/core/sharded_aggregation.hpp"
 
 #include <algorithm>
-#include <array>
-#include <cstdlib>
-#include <stdexcept>
-#include <string>
+#include <cstdint>
+#include <span>
 #include <utility>
 #include <vector>
 
-#include "aggregation_items.hpp"
 #include "cellspot/exec/executor.hpp"
 #include "cellspot/obs/metrics.hpp"
 #include "cellspot/obs/trace.hpp"
-#include "cellspot/util/parse.hpp"
-#include "cellspot/util/pool.hpp"
 #include "cellspot/util/stable_map.hpp"
 
 namespace cellspot::core {
@@ -22,70 +17,47 @@ namespace {
 
 using asdb::AsNumber;
 
-/// Pooled storage for one AS's detected cellular blocks: a chained
-/// chunk list instead of a std::vector, so appending a block on the hot
-/// path is a bump into pool-owned storage, never a heap reallocation.
-struct PrefixChunk {
-  static constexpr std::size_t kCapacity = 32;
-  std::array<netaddr::Prefix, kCapacity> blocks;
-  std::uint32_t count = 0;
-  PrefixChunk* next = nullptr;
+struct BeaconItem {
+  const netaddr::Prefix* block;
+  const dataset::BeaconBlockStats* stats;
+  AsNumber origin = 0;  // 0 is reserved: unrouted
 };
 
-/// Per-AS accumulator inside one shard. Mirrors AsAggregate's scalar
-/// fields; the block list lives in the shard's chunk pool until the
-/// shard materialises its candidates.
-struct AsSlot {
-  std::size_t cell_blocks_v4 = 0;
-  std::size_t cell_blocks_v6 = 0;
-  std::size_t observed_blocks_v4 = 0;
-  std::size_t observed_blocks_v6 = 0;
-  std::size_t demand_blocks = 0;
-  double cell_demand_du = 0.0;
-  double total_demand_du = 0.0;
-  std::uint64_t beacon_hits = 0;
-  PrefixChunk* head = nullptr;
-  PrefixChunk* tail = nullptr;
-  std::size_t block_count = 0;
+struct DemandItem {
+  const netaddr::Prefix* block;
+  double du;
+  AsNumber origin = 0;  // 0 is reserved: unrouted
 };
 
-void AppendBlock(AsSlot& slot, const netaddr::Prefix& block,
-                 util::FixedPool<PrefixChunk>& pool) {
-  if (slot.tail == nullptr || slot.tail->count == PrefixChunk::kCapacity) {
-    PrefixChunk* chunk = pool.Alloc();
-    if (slot.tail == nullptr) {
-      slot.head = slot.tail = chunk;
-    } else {
-      slot.tail->next = chunk;
-      slot.tail = chunk;
-    }
-  }
-  slot.tail->blocks[slot.tail->count++] = block;
-  ++slot.block_count;
+/// Fill in every item's origin AS (the longest-prefix-match walk
+/// dominates the stage) in parallel chunk batches.
+template <typename Item>
+void ResolveOrigins(const asdb::RoutingTable& rib, std::vector<Item>& items,
+                    exec::Executor& executor) {
+  constexpr std::size_t kGrain = 4096;
+  std::vector<netaddr::IpAddress> addrs(items.size());
+  std::vector<AsNumber> origins(items.size(), 0);
+  for (std::size_t i = 0; i < items.size(); ++i) addrs[i] = items[i].block->address();
+  executor.ParallelFor(items.size(), kGrain, [&](std::size_t begin, std::size_t end) {
+    rib.OriginOfBatch(std::span<const netaddr::IpAddress>(addrs).subspan(begin, end - begin),
+                      std::span<AsNumber>(origins).subspan(begin, end - begin));
+  });
+  for (std::size_t i = 0; i < items.size(); ++i) items[i].origin = origins[i];
 }
 
-/// What one shard contributes after its local accumulation: candidates
-/// in shard-local insertion order (re-sorted globally by the merge) and
-/// the pool's memory statistics.
-struct ShardResult {
-  std::vector<AsAggregate> candidates;
-  std::size_t pool_chunk_hwm = 0;
-  std::size_t pool_slabs = 0;
-  std::size_t pool_capacity = 0;
-};
+/// Indices of the routed items, one list per shard, in item order.
+template <typename Item>
+std::vector<std::vector<std::uint32_t>> PartitionByShard(const std::vector<Item>& items,
+                                                         std::size_t shards) {
+  std::vector<std::vector<std::uint32_t>> idx(shards);
+  for (std::uint32_t i = 0; i < items.size(); ++i) {
+    if (items[i].origin == 0) continue;
+    idx[ShardOfAs(items[i].origin, shards)].push_back(i);
+  }
+  return idx;
+}
 
 }  // namespace
-
-std::size_t DefaultAggregationShards() {
-  const char* env = std::getenv("CELLSPOT_AGG_SHARDS");
-  if (env == nullptr || *env == '\0') return 8;
-  const auto parsed = util::TryParseNumber<std::uint64_t>(env);
-  if (!parsed || *parsed == 0) {
-    throw std::invalid_argument(
-        std::string("CELLSPOT_AGG_SHARDS: expected an integer >= 1, got '") + env + "'");
-  }
-  return static_cast<std::size_t>(*parsed);
-}
 
 std::size_t ShardOfAs(AsNumber asn, std::size_t shard_count) noexcept {
   if (shard_count <= 1) return 0;
@@ -104,88 +76,74 @@ std::vector<AsAggregate> AggregateCandidateAsesSharded(
     const dataset::BeaconDataset& beacons, const dataset::DemandDataset& demand,
     exec::Executor& executor, const AggregationConfig& config) {
   const std::size_t shards =
-      config.shards != 0 ? config.shards : DefaultAggregationShards();
+      config.shards != 0 ? config.shards : kAggregationShards;
 
-  const detail::ResolvedItems items =
-      detail::ResolveAggregationItems(rib, beacons, demand, executor);
+  std::vector<BeaconItem> beacon_items;
+  beacon_items.reserve(beacons.block_count());
+  beacons.ForEach([&](const netaddr::Prefix& block, const dataset::BeaconBlockStats& stats) {
+    beacon_items.push_back({&block, &stats});
+  });
+  std::vector<DemandItem> demand_items;
+  demand_items.reserve(demand.block_count());
+  demand.ForEach([&](const netaddr::Prefix& block, double du) {
+    demand_items.push_back({&block, du});
+  });
+  (void)rib.Flat();  // compile once up front, not under the first chunk's lock
+  ResolveOrigins(rib, beacon_items, executor);
+  ResolveOrigins(rib, demand_items, executor);
 
   // Partition sequentially so every shard sees its items in dataset
   // iteration order — the order the per-AS floating-point folds below
-  // depend on. Only routed items participate (matching the sequential
-  // engine, which skips unrouted blocks).
-  std::vector<std::vector<std::uint32_t>> beacon_idx(shards);
-  std::vector<std::vector<std::uint32_t>> demand_idx(shards);
-  for (std::uint32_t i = 0; i < items.beacons.size(); ++i) {
-    if (!items.beacons[i].routed) continue;
-    beacon_idx[ShardOfAs(items.beacons[i].origin, shards)].push_back(i);
-  }
-  for (std::uint32_t i = 0; i < items.demand.size(); ++i) {
-    if (!items.demand[i].routed) continue;
-    demand_idx[ShardOfAs(items.demand[i].origin, shards)].push_back(i);
-  }
+  // depend on. Unrouted items belong to no AS and are skipped.
+  const auto beacon_idx = PartitionByShard(beacon_items, shards);
+  const auto demand_idx = PartitionByShard(demand_items, shards);
 
   // One chunk per shard: the chunk index *is* the shard id, so the
   // executor decides only when a shard runs, never what it holds.
-  std::vector<ShardResult> results(shards);
+  std::vector<std::vector<AsAggregate>> results(shards);
   executor.ParallelForChunks(
-      shards, 1, [&](std::size_t begin, std::size_t /*end*/, std::size_t shard) {
-        (void)begin;
+      shards, 1, [&](std::size_t /*begin*/, std::size_t /*end*/, std::size_t shard) {
         obs::TraceSpan span("aggregate.shard");
-        util::FixedPool<PrefixChunk> pool(config.pool_slab_chunks);
         // StableMap: candidate extraction iterates this map, so its
         // order must come from the item sequence, not hashing.
-        util::StableMap<AsNumber, AsSlot> by_asn;
+        util::StableMap<AsNumber, AsAggregate> by_asn;
+        const auto slot = [&](AsNumber asn) -> AsAggregate& {
+          AsAggregate& agg = by_asn[asn];
+          agg.asn = asn;
+          return agg;
+        };
 
+        // Beacon side: observed blocks, hits, cellular detections.
         for (const std::uint32_t i : beacon_idx[shard]) {
-          const detail::BeaconItem& item = items.beacons[i];
+          const BeaconItem& item = beacon_items[i];
           const netaddr::Prefix& block = *item.block;
-          AsSlot& slot = by_asn[item.origin];
-          slot.beacon_hits += item.stats->hits;
+          AsAggregate& agg = slot(item.origin);
+          agg.beacon_hits += item.stats->hits;
           if (classified.RatioOf(block) != nullptr) {
-            if (block.family() == netaddr::Family::kIpv4) ++slot.observed_blocks_v4;
-            else ++slot.observed_blocks_v6;
+            if (block.family() == netaddr::Family::kIpv4) ++agg.observed_blocks_v4;
+            else ++agg.observed_blocks_v6;
           }
           if (classified.IsCellular(block)) {
-            if (block.family() == netaddr::Family::kIpv4) ++slot.cell_blocks_v4;
-            else ++slot.cell_blocks_v6;
-            AppendBlock(slot, block, pool);
-            slot.cell_demand_du += demand.DemandOf(block);
+            if (block.family() == netaddr::Family::kIpv4) ++agg.cell_blocks_v4;
+            else ++agg.cell_blocks_v6;
+            agg.cellular_blocks.push_back(block);
+            agg.cell_demand_du += demand.DemandOf(block);
           }
         }
+        // Demand side, which also covers blocks with no beacons at all.
         for (const std::uint32_t i : demand_idx[shard]) {
-          const detail::DemandItem& item = items.demand[i];
-          AsSlot& slot = by_asn[item.origin];
-          slot.total_demand_du += item.du;
-          ++slot.demand_blocks;
+          AsAggregate& agg = slot(demand_items[i].origin);
+          agg.total_demand_du += demand_items[i].du;
+          ++agg.demand_blocks;
         }
 
-        ShardResult& result = results[shard];
-        for (auto& [asn, slot] : by_asn) {
-          if (slot.cell_blocks_v4 + slot.cell_blocks_v6 == 0) continue;
-          AsAggregate agg;
-          agg.asn = asn;
-          agg.cell_blocks_v4 = slot.cell_blocks_v4;
-          agg.cell_blocks_v6 = slot.cell_blocks_v6;
-          agg.observed_blocks_v4 = slot.observed_blocks_v4;
-          agg.observed_blocks_v6 = slot.observed_blocks_v6;
-          agg.demand_blocks = slot.demand_blocks;
-          agg.cell_demand_du = slot.cell_demand_du;
-          agg.total_demand_du = slot.total_demand_du;
-          agg.beacon_hits = slot.beacon_hits;
-          agg.cellular_blocks.reserve(slot.block_count);
-          for (const PrefixChunk* chunk = slot.head; chunk != nullptr;
-               chunk = chunk->next) {
-            for (std::uint32_t b = 0; b < chunk->count; ++b) {
-              agg.cellular_blocks.push_back(chunk->blocks[b]);
-            }
-          }
+        std::vector<AsAggregate>& candidates = results[shard];
+        for (auto& [asn, agg] : by_asn) {
+          if (agg.cell_blocks_v4 + agg.cell_blocks_v6 == 0) continue;
           std::sort(agg.cellular_blocks.begin(), agg.cellular_blocks.end());
-          result.candidates.push_back(std::move(agg));
+          candidates.push_back(std::move(agg));
         }
-        result.pool_chunk_hwm = pool.high_water_mark();
-        result.pool_slabs = pool.slab_count();
-        result.pool_capacity = pool.capacity();
-        span.set_items(result.candidates.size());
+        span.set_items(candidates.size());
       });
 
   // Canonical merge: concatenate in shard-index order, then one global
@@ -193,25 +151,15 @@ std::vector<AsAggregate> AggregateCandidateAsesSharded(
   // moves finished aggregates around — it never re-folds a float.
   std::vector<AsAggregate> candidates;
   std::size_t total = 0;
-  for (const ShardResult& r : results) total += r.candidates.size();
+  for (const auto& r : results) total += r.size();
   candidates.reserve(total);
-  std::size_t chunk_hwm = 0;
-  std::size_t slabs = 0;
-  std::size_t capacity = 0;
-  for (ShardResult& r : results) {
-    for (AsAggregate& agg : r.candidates) candidates.push_back(std::move(agg));
-    chunk_hwm = std::max(chunk_hwm, r.pool_chunk_hwm);
-    slabs += r.pool_slabs;
-    capacity += r.pool_capacity;
+  for (auto& r : results) {
+    for (AsAggregate& agg : r) candidates.push_back(std::move(agg));
   }
   std::sort(candidates.begin(), candidates.end(),
             [](const AsAggregate& a, const AsAggregate& b) { return a.asn < b.asn; });
 
-  auto& reg = obs::MetricsRegistry::Global();
-  reg.gauge("aggregate.shards").Set(static_cast<double>(shards));
-  reg.gauge("aggregate.pool.chunk_hwm").Set(static_cast<double>(chunk_hwm));
-  reg.gauge("aggregate.pool.slabs").Set(static_cast<double>(slabs));
-  reg.gauge("aggregate.pool.chunk_capacity").Set(static_cast<double>(capacity));
+  obs::MetricsRegistry::Global().gauge("aggregate.shards").Set(static_cast<double>(shards));
   return candidates;
 }
 

@@ -10,7 +10,6 @@
 
 #include "cellspot/core/as_pipeline.hpp"
 #include "cellspot/core/classifier.hpp"
-#include "cellspot/core/sharded_aggregation.hpp"
 #include "cellspot/dataset/beacon_dataset.hpp"
 #include "cellspot/dataset/demand_dataset.hpp"
 #include "cellspot/query/table.hpp"
@@ -27,9 +26,6 @@ namespace cellspot::query {
 struct BundleOptions {
   core::ClassifierConfig classifier = {};
   core::AsFilterConfig filters = {};
-  /// Shard count for the candidate-AS join (0 = default). Output is
-  /// byte-identical at any value; this only tunes parallelism.
-  core::AggregationConfig aggregation = {};
 };
 
 /// Everything a query joins against, decoded from snapshots (or

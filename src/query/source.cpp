@@ -6,6 +6,7 @@
 #include <utility>
 #include <vector>
 
+#include "cellspot/core/sharded_aggregation.hpp"
 #include "cellspot/exec/executor.hpp"
 #include "cellspot/obs/metrics.hpp"
 #include "cellspot/obs/trace.hpp"
@@ -34,8 +35,7 @@ std::string_view FamilyName(netaddr::Family f) noexcept {
 void FinishBundle(SnapshotBundle& bundle, const BundleOptions& options,
                   exec::Executor& executor) {
   bundle.candidates = core::AggregateCandidateAsesSharded(
-      bundle.world.rib(), bundle.classified, bundle.beacons, bundle.demand, executor,
-      options.aggregation);
+      bundle.world.rib(), bundle.classified, bundle.beacons, bundle.demand, executor);
   bundle.filtered = core::ApplyAsFilters(bundle.candidates, bundle.world.as_db(),
                                          options.filters);
 }

@@ -6,6 +6,7 @@
 // downstream exports are byte-identical to a cold run.
 #pragma once
 
+#include <cstddef>
 #include <memory>
 #include <string>
 #include <string_view>
@@ -43,34 +44,39 @@ namespace cellspot::snapshot {
 [[nodiscard]] std::pair<dataset::BeaconDataset, dataset::DemandDataset> DecodeDatasets(
     const std::vector<Section>& sections);
 
-/// Canonical single-merge layout (sections "classified.ratios" and
-/// "classified.cellular"): the byte-comparison currency of the
-/// determinism tests and stream exports — unchanged by sharding.
-[[nodiscard]] std::vector<Section> EncodeClassified(const core::ClassifiedSubnets& classified);
-
-/// Decode either classified layout: the legacy two-section one or the
-/// sharded one written by EncodeClassifiedSharded.
-[[nodiscard]] core::ClassifiedSubnets DecodeClassified(const std::vector<Section>& sections);
-
-/// Marker/manifest section of the sharded classified layout: varint
-/// shard count, then total ratio and cellular row counts (the decoder
+/// Marker/manifest section of the classified layout: varint shard
+/// count, then total ratio and cellular row counts (the decoder
 /// cross-checks both). Row payloads live in "classified.ratios.<k>" /
 /// "classified.cellular.<k>", 0 <= k < shards.
 inline constexpr std::string_view kClassifiedShardsSection = "classified.shards";
 
+/// Shard count EncodeClassified writes. A layout knob only: any value
+/// round-trips to the identical object, and the decoder takes the
+/// count from the snapshot's manifest.
+inline constexpr std::size_t kClassifiedStoreShards = 8;
+
 /// Split the classified rows into `shard_count` contiguous ranges of
 /// their insertion order, one pair of sections per shard, plus the
 /// manifest. Ordered concatenation at decode reproduces the exact row
-/// order, so re-encoding with EncodeClassified is byte-identical to
-/// the source object's encoding; meanwhile a warm load can decode the
-/// shards in parallel (DecodeClassifiedMapped).
+/// order, so a decoded object re-encodes byte-identically at any shard
+/// count; meanwhile a warm load can decode the shards in parallel
+/// (DecodeClassifiedMapped).
 [[nodiscard]] std::vector<Section> EncodeClassifiedSharded(
     const core::ClassifiedSubnets& classified, std::size_t shard_count);
 
-/// Decode a classified snapshot straight off a memory-mapped file.
-/// Sharded layouts decode their per-shard sections in parallel on
-/// `executor` (nullptr, or a legacy layout, decodes sequentially);
-/// validation and the resulting object are identical either way.
+/// EncodeClassifiedSharded at kClassifiedStoreShards: the layout the
+/// stage cache stores, and the byte-comparison currency of the
+/// determinism tests and stream exports.
+[[nodiscard]] std::vector<Section> EncodeClassified(const core::ClassifiedSubnets& classified);
+
+/// Decode the classified layout. A snapshot without the manifest
+/// section is SnapshotError{kMalformed}.
+[[nodiscard]] core::ClassifiedSubnets DecodeClassified(const std::vector<Section>& sections);
+
+/// Decode a classified snapshot straight off a memory-mapped file, the
+/// per-shard sections in parallel on `executor` (nullptr decodes
+/// sequentially); validation and the resulting object are identical
+/// either way.
 [[nodiscard]] core::ClassifiedSubnets DecodeClassifiedMapped(const class MappedSnapshot& snap,
                                                              exec::Executor* executor);
 

@@ -46,11 +46,6 @@ namespace cellspot::snapshot {
 [[nodiscard]] std::uint64_t Fnv1a64(std::string_view bytes,
                                     std::uint64_t seed = 0xcbf29ce484222325ULL) noexcept;
 
-/// Shard count StoreClassified writes (EncodeClassifiedSharded). A
-/// layout knob only: any value round-trips to the identical object,
-/// and the decoder takes the count from the snapshot's manifest.
-inline constexpr std::size_t kClassifiedStoreShards = 8;
-
 class StageCache {
  public:
   /// Creates `dir` (and parents) if needed. When creation fails the
@@ -77,10 +72,9 @@ class StageCache {
                      const dataset::BeaconDataset& beacons,
                      const dataset::DemandDataset& demand);
 
-  /// Served from a memory-mapped file. Snapshots written by
-  /// StoreClassified carry per-shard sections which decode in parallel
-  /// on `executor` (nullptr decodes sequentially); pre-shard snapshots
-  /// decode sequentially either way. Identical results in every case.
+  /// Served from a memory-mapped file; the per-shard sections decode in
+  /// parallel on `executor` (nullptr decodes sequentially), with
+  /// identical results either way.
   [[nodiscard]] std::optional<core::ClassifiedSubnets> TryLoadClassified(
       const simnet::WorldConfig& config, const core::ClassifierConfig& classifier,
       exec::Executor* executor = nullptr);

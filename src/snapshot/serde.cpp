@@ -555,35 +555,10 @@ std::pair<dataset::BeaconDataset, dataset::DemandDataset> DecodeDatasets(
 
 // ---- classification output -------------------------------------------------
 
-std::vector<Section> EncodeClassified(const core::ClassifiedSubnets& classified) {
-  std::vector<Section> sections;
-
-  {
-    ByteWriter w;
-    w.Varint(classified.ratios().size());
-    for (const auto& [block, ratio] : classified.ratios()) {
-      PutPrefix(w, block);
-      w.F64(ratio);
-    }
-    sections.push_back({std::string(kClassifiedRatiosSection), std::move(w).Take()});
-  }
-
-  {
-    ByteWriter w;
-    w.Varint(classified.cellular().size());
-    for (const netaddr::Prefix& block : classified.cellular()) {
-      PutPrefix(w, block);
-    }
-    sections.push_back({std::string(kClassifiedCellularSection), std::move(w).Take()});
-  }
-
-  return sections;
-}
-
 namespace {
 
-/// Decoded rows of one shard (or of the whole legacy payload pair),
-/// validated entry by entry but not yet folded into the result object.
+/// Decoded rows of one shard, validated entry by entry but not yet
+/// folded into the result object.
 struct ClassifiedFragment {
   std::vector<std::pair<netaddr::Prefix, double>> ratios;
   std::vector<netaddr::Prefix> cellular;
@@ -657,13 +632,13 @@ std::string ShardSectionName(std::string_view base, std::size_t shard) {
   return std::string(base) + "." + std::to_string(shard);
 }
 
-/// Shared core of the sharded decode, parameterised over how section
+/// Shared core of the classified decode, parameterised over how section
 /// payloads are looked up (owned Sections vs mmap'd views). `executor`
 /// may be null: shards then decode sequentially, same result.
 template <typename PayloadOf>
-core::ClassifiedSubnets DecodeClassifiedShardedImpl(std::string_view manifest,
-                                                    PayloadOf&& payload_of,
-                                                    exec::Executor* executor) {
+core::ClassifiedSubnets DecodeClassifiedImpl(std::string_view manifest,
+                                             PayloadOf&& payload_of,
+                                             exec::Executor* executor) {
   std::uint64_t shard_count = 0;
   std::uint64_t want_ratios = 0;
   std::uint64_t want_cellular = 0;
@@ -720,120 +695,72 @@ core::ClassifiedSubnets DecodeClassifiedShardedImpl(std::string_view manifest,
   return out;
 }
 
+/// Append the `shard_count` sections "<base>.<k>" of one row kind:
+/// shard k holds rows [k*n/shards, (k+1)*n/shards) of `rows` in
+/// iteration order — a contiguous even split, so concatenating the
+/// shards in index order is exactly the original row order. Each
+/// payload is a varint row count followed by the rows `put` writes.
+template <typename Rows, typename Put>
+void AppendShardSections(std::vector<Section>& sections, std::string_view base,
+                         const Rows& rows, std::size_t shard_count, Put&& put) {
+  auto row = rows.begin();
+  std::size_t begin = 0;
+  for (std::size_t k = 0; k < shard_count; ++k) {
+    const std::size_t end = (k + 1) * rows.size() / shard_count;
+    ByteWriter body;
+    for (std::size_t i = begin; i < end; ++i, ++row) put(body, *row);
+    ByteWriter framed;
+    framed.Varint(end - begin);
+    framed.Bytes(std::move(body).Take());
+    sections.push_back({ShardSectionName(base, k), std::move(framed).Take()});
+    begin = end;
+  }
+}
+
 }  // namespace
 
 core::ClassifiedSubnets DecodeClassified(const std::vector<Section>& sections) {
-  for (const Section& s : sections) {
-    if (s.name == kClassifiedShardsSection) {
-      return DecodeClassifiedShardedImpl(
-          s.payload,
-          [&](const std::string& name) -> std::string_view {
-            return FindSection(sections, name).payload;
-          },
-          nullptr);
-    }
-  }
-  ClassifiedFragment fragment = DecodeClassifiedFragment(
-      FindSection(sections, kClassifiedRatiosSection).payload,
-      FindSection(sections, kClassifiedCellularSection).payload);
-  return FoldClassifiedFragments({&fragment, 1});
+  return DecodeClassifiedImpl(
+      FindSection(sections, kClassifiedShardsSection).payload,
+      [&](const std::string& name) -> std::string_view {
+        return FindSection(sections, name).payload;
+      },
+      nullptr);
+}
+
+std::vector<Section> EncodeClassified(const core::ClassifiedSubnets& classified) {
+  return EncodeClassifiedSharded(classified, kClassifiedStoreShards);
 }
 
 std::vector<Section> EncodeClassifiedSharded(const core::ClassifiedSubnets& classified,
                                              std::size_t shard_count) {
   if (shard_count == 0) shard_count = 1;
-  const std::size_t n_ratios = classified.ratios().size();
-  const std::size_t n_cellular = classified.cellular().size();
-
   std::vector<Section> sections;
   sections.reserve(1 + 2 * shard_count);
   {
     ByteWriter w;
     w.Varint(shard_count);
-    w.Varint(n_ratios);
-    w.Varint(n_cellular);
+    w.Varint(classified.ratios().size());
+    w.Varint(classified.cellular().size());
     sections.push_back({std::string(kClassifiedShardsSection), std::move(w).Take()});
   }
-
-  // Contiguous even split of the insertion-order rows: shard k owns
-  // rows [k*n/shards, (k+1)*n/shards). Concatenating the shards in
-  // index order is exactly the original row order.
-  const auto shard_end = [shard_count](std::size_t n, std::size_t k) {
-    return (k + 1) * n / shard_count;
-  };
-  {
-    std::size_t k = 0;
-    std::size_t i = 0;
-    ByteWriter w;
-    std::size_t rows_in_shard = 0;
-    const auto flush = [&]() {
-      ByteWriter framed;
-      framed.Varint(rows_in_shard);
-      std::string body = std::move(w).Take();
-      framed.Bytes(body);
-      sections.push_back(
-          {ShardSectionName(kClassifiedRatiosSection, k), std::move(framed).Take()});
-      w = ByteWriter();
-      rows_in_shard = 0;
-    };
-    for (const auto& [block, ratio] : classified.ratios()) {
-      while (i >= shard_end(n_ratios, k)) {
-        flush();
-        ++k;
-      }
-      PutPrefix(w, block);
-      w.F64(ratio);
-      ++rows_in_shard;
-      ++i;
-    }
-    while (k < shard_count) {
-      flush();
-      ++k;
-    }
-  }
-  {
-    std::size_t k = 0;
-    std::size_t i = 0;
-    ByteWriter w;
-    std::size_t rows_in_shard = 0;
-    const auto flush = [&]() {
-      ByteWriter framed;
-      framed.Varint(rows_in_shard);
-      std::string body = std::move(w).Take();
-      framed.Bytes(body);
-      sections.push_back(
-          {ShardSectionName(kClassifiedCellularSection, k), std::move(framed).Take()});
-      w = ByteWriter();
-      rows_in_shard = 0;
-    };
-    for (const netaddr::Prefix& block : classified.cellular()) {
-      while (i >= shard_end(n_cellular, k)) {
-        flush();
-        ++k;
-      }
-      PutPrefix(w, block);
-      ++rows_in_shard;
-      ++i;
-    }
-    while (k < shard_count) {
-      flush();
-      ++k;
-    }
-  }
+  AppendShardSections(sections, kClassifiedRatiosSection, classified.ratios(), shard_count,
+                      [](ByteWriter& w, const auto& row) {
+                        PutPrefix(w, row.first);
+                        w.F64(row.second);
+                      });
+  AppendShardSections(sections, kClassifiedCellularSection, classified.cellular(),
+                      shard_count, [](ByteWriter& w, const netaddr::Prefix& block) {
+                        PutPrefix(w, block);
+                      });
   return sections;
 }
 
 core::ClassifiedSubnets DecodeClassifiedMapped(const MappedSnapshot& snap,
                                                exec::Executor* executor) {
-  if (snap.HasSection(kClassifiedShardsSection)) {
-    return DecodeClassifiedShardedImpl(
-        snap.SectionPayload(kClassifiedShardsSection),
-        [&](const std::string& name) { return snap.SectionPayload(name); }, executor);
-  }
-  ClassifiedFragment fragment =
-      DecodeClassifiedFragment(snap.SectionPayload(kClassifiedRatiosSection),
-                               snap.SectionPayload(kClassifiedCellularSection));
-  return FoldClassifiedFragments({&fragment, 1});
+  return DecodeClassifiedImpl(
+      snap.SectionPayload(kClassifiedShardsSection),
+      [&](const std::string& name) { return snap.SectionPayload(name); }, executor);
 }
 
 std::vector<Section> EncodeRibLpm(const asdb::RoutingTable& rib) {

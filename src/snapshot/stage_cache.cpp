@@ -212,8 +212,7 @@ void StageCache::StoreClassified(const simnet::WorldConfig& config,
                                  const core::ClassifierConfig& classifier,
                                  const core::ClassifiedSubnets& classified) {
   if (!enabled_) return;
-  TryStore(ClassifiedPath(config, classifier), "classified",
-           EncodeClassifiedSharded(classified, kClassifiedStoreShards));
+  TryStore(ClassifiedPath(config, classifier), "classified", EncodeClassified(classified));
 }
 
 std::filesystem::path StageCache::LpmPath(const simnet::WorldConfig& config) const {

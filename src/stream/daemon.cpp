@@ -3,6 +3,7 @@
 #include <iostream>
 #include <utility>
 
+#include "cellspot/core/sharded_aggregation.hpp"
 #include "cellspot/obs/metrics.hpp"
 #include "cellspot/snapshot/binary_io.hpp"
 #include "cellspot/snapshot/serde.hpp"
@@ -314,10 +315,9 @@ core::ClassifiedSubnets StreamDaemon::ExportClassified() const {
 }
 
 std::vector<core::AsAggregate> StreamDaemon::ExportCandidates(
-    exec::Executor& executor, const core::AggregationConfig& aggregation) const {
+    exec::Executor& executor) const {
   return core::AggregateCandidateAsesSharded(world_.rib(), ExportClassified(),
-                                             ExportBeacons(), ExportDemand(), executor,
-                                             aggregation);
+                                             ExportBeacons(), ExportDemand(), executor);
 }
 
 SubnetLiveness StreamDaemon::liveness(std::uint32_t subnet) const {

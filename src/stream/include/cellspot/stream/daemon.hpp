@@ -24,8 +24,8 @@
 #include <string>
 #include <vector>
 
+#include "cellspot/core/as_pipeline.hpp"
 #include "cellspot/core/classifier.hpp"
-#include "cellspot/core/sharded_aggregation.hpp"
 #include "cellspot/dataset/beacon_dataset.hpp"
 #include "cellspot/dataset/demand_dataset.hpp"
 #include "cellspot/simnet/world.hpp"
@@ -117,11 +117,11 @@ class StreamDaemon {
   [[nodiscard]] core::ClassifiedSubnets ExportClassified() const;
 
   /// The §5 candidate-AS set over the daemon's current cumulative
-  /// state, via the sharded aggregation engine against the world's
-  /// RIB. Byte-identical to running the batch pipeline's Aggregate
-  /// stage on this daemon's exports — at any shard or thread count.
+  /// state, via the aggregation engine against the world's RIB.
+  /// Byte-identical to running the batch pipeline's Aggregate stage on
+  /// this daemon's exports — at any thread count.
   [[nodiscard]] std::vector<core::AsAggregate> ExportCandidates(
-      exec::Executor& executor, const core::AggregationConfig& aggregation = {}) const;
+      exec::Executor& executor) const;
 
   [[nodiscard]] std::uint64_t tick() const noexcept { return tick_; }
   [[nodiscard]] const DaemonStats& stats() const noexcept { return stats_; }

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include "cellspot/core/sharded_aggregation.hpp"
+#include "cellspot/exec/executor.hpp"
+
 namespace cellspot::core {
 namespace {
 
@@ -37,6 +40,11 @@ struct Fixture {
     if (stats.hits > 0) beacons.Add(block, stats);
     if (du > 0.0) demand.Add(block, du);
   }
+
+  std::vector<AsAggregate> Aggregate(const ClassifiedSubnets& classified) const {
+    return AggregateCandidateAsesSharded(rib, classified, beacons, demand,
+                                         exec::Executor::Shared());
+  }
 };
 
 TEST(AggregateCandidateAses, OnlyAsesWithCellularBlocks) {
@@ -47,7 +55,7 @@ TEST(AggregateCandidateAses, OnlyAsesWithCellularBlocks) {
   f.AddBlock("198.51.102.0/24", 200, Stats(1000, 130, 2), 9.0);    // fixed only
 
   const auto classified = SubnetClassifier().Classify(f.beacons);
-  const auto candidates = AggregateCandidateAses(f.rib, classified, f.beacons, f.demand);
+  const auto candidates = f.Aggregate(classified);
   ASSERT_EQ(candidates.size(), 1u);
   EXPECT_EQ(candidates[0].asn, 100u);
   EXPECT_EQ(candidates[0].cell_blocks_v4, 1u);
@@ -61,7 +69,7 @@ TEST(AggregateCandidateAses, TotalsIncludeBeaconlessDemand) {
   f.AddBlock("198.51.102.0/24", 100, {}, 45.0);  // demand-only block
 
   const auto classified = SubnetClassifier().Classify(f.beacons);
-  const auto candidates = AggregateCandidateAses(f.rib, classified, f.beacons, f.demand);
+  const auto candidates = f.Aggregate(classified);
   ASSERT_EQ(candidates.size(), 1u);
   EXPECT_DOUBLE_EQ(candidates[0].total_demand_du, 50.0);
   EXPECT_DOUBLE_EQ(candidates[0].cell_demand_du, 5.0);
@@ -76,7 +84,7 @@ TEST(AggregateCandidateAses, CountsV6Separately) {
   f.AddBlock("198.51.101.0/24", 100, Stats(100, 40, 38), 1.0);
   f.AddBlock("2001:db8:1::/48", 100, Stats(100, 40, 39), 1.0);
   const auto classified = SubnetClassifier().Classify(f.beacons);
-  const auto candidates = AggregateCandidateAses(f.rib, classified, f.beacons, f.demand);
+  const auto candidates = f.Aggregate(classified);
   ASSERT_EQ(candidates.size(), 1u);
   EXPECT_EQ(candidates[0].cell_blocks_v4, 1u);
   EXPECT_EQ(candidates[0].cell_blocks_v6, 1u);
@@ -105,7 +113,7 @@ Fixture FilterFixture() {
 TEST(ApplyAsFilters, RulesFireInPaperOrder) {
   Fixture f = FilterFixture();
   const auto classified = SubnetClassifier().Classify(f.beacons);
-  auto candidates = AggregateCandidateAses(f.rib, classified, f.beacons, f.demand);
+  auto candidates = f.Aggregate(classified);
   ASSERT_EQ(candidates.size(), 5u);
 
   const AsFilterOutcome outcome = ApplyAsFilters(std::move(candidates), f.as_db);
@@ -124,8 +132,7 @@ TEST(ApplyAsFilters, Rule1TakesPrecedence) {
   f.AddAs(100, asdb::AsClass::kTransitAccess);
   f.AddBlock("198.51.101.0/24", 100, Stats(50, 10, 9), 0.01);
   const auto classified = SubnetClassifier().Classify(f.beacons);
-  const auto outcome =
-      ApplyAsFilters(AggregateCandidateAses(f.rib, classified, f.beacons, f.demand), f.as_db);
+  const auto outcome = ApplyAsFilters(f.Aggregate(classified), f.as_db);
   EXPECT_EQ(outcome.removed_low_demand, 1u);
   EXPECT_EQ(outcome.removed_low_hits, 0u);
 }
@@ -133,7 +140,7 @@ TEST(ApplyAsFilters, Rule1TakesPrecedence) {
 TEST(ApplyAsFilters, ClassRuleCanBeDisabled) {
   Fixture f = FilterFixture();
   const auto classified = SubnetClassifier().Classify(f.beacons);
-  auto candidates = AggregateCandidateAses(f.rib, classified, f.beacons, f.demand);
+  auto candidates = f.Aggregate(classified);
   AsFilterConfig config;
   config.require_transit_access_class = false;
   const auto outcome = ApplyAsFilters(std::move(candidates), f.as_db, config);
@@ -144,7 +151,7 @@ TEST(ApplyAsFilters, ClassRuleCanBeDisabled) {
 TEST(ApplyAsFilters, CustomThresholds) {
   Fixture f = FilterFixture();
   const auto classified = SubnetClassifier().Classify(f.beacons);
-  auto candidates = AggregateCandidateAses(f.rib, classified, f.beacons, f.demand);
+  auto candidates = f.Aggregate(classified);
   AsFilterConfig config;
   config.min_cell_demand_du = 30.0;  // nobody passes
   const auto outcome = ApplyAsFilters(std::move(candidates), f.as_db, config);

@@ -1,24 +1,27 @@
 // The pipeline's central guarantee: every stage produces byte-identical
 // output at any thread count, so "turn on threads" is never a science
 // decision. Also covers the staged API itself — on-demand prerequisites,
-// stage timings, re-run invalidation — and the CELLSPOT_SCALE guard.
+// one pipeline.<stage> span per executed stage, re-run invalidation —
+// and the CELLSPOT_SCALE guard.
 #include "cellspot/analysis/pipeline.hpp"
 
 #include <gtest/gtest.h>
 
-#include <bit>
 #include <cstdint>
 #include <cstdlib>
+#include <map>
 #include <set>
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "cellspot/analysis/export.hpp"
 #include "cellspot/analysis/reports.hpp"
 #include "cellspot/evolution/churn.hpp"
 #include "cellspot/exec/executor.hpp"
+#include "cellspot/obs/metrics.hpp"
 
 namespace cellspot {
 namespace {
@@ -44,6 +47,26 @@ std::vector<asdb::AsNumber> KeptAsns(const analysis::Experiment& e) {
   for (const core::AsAggregate& as : e.filtered.kept) asns.push_back(as.asn);
   return asns;
 }
+
+using StageRuns = std::map<std::string, std::uint64_t>;
+
+/// Executions per pipeline stage since the global registry's last
+/// reset, read from the "pipeline.<stage>" span rows.
+StageRuns RecordedStageRuns() {
+  StageRuns runs;
+  for (const auto& row : obs::MetricsRegistry::Global().Snapshot().spans) {
+    const std::string_view path = row.path;
+    const std::string_view leaf = path.substr(path.rfind('/') + 1);
+    if (leaf.starts_with("pipeline.")) {
+      runs[std::string(leaf.substr(std::string_view("pipeline.").size()))] += row.count;
+    }
+  }
+  return runs;
+}
+
+const StageRuns kEveryStageOnce = {{"aggregate", 1}, {"build_world", 1},
+                                   {"classify", 1},  {"compile_lpm", 1},
+                                   {"filter", 1},    {"generate_datasets", 1}};
 
 TEST(PipelineDeterminism, IdenticalResultsAtOneTwoAndEightThreads) {
   exec::Executor ex1(1);
@@ -88,55 +111,6 @@ TEST(PipelineDeterminism, IdenticalResultsAtOneTwoAndEightThreads) {
     EXPECT_EQ(e.filtered.removed_low_demand, ref.filtered.removed_low_demand);
     EXPECT_EQ(e.filtered.removed_low_hits, ref.filtered.removed_low_hits);
     EXPECT_EQ(e.filtered.removed_class, ref.filtered.removed_class);
-  }
-}
-
-TEST(PipelineDeterminism, AggregationShardCountIsOutputInvariant) {
-  // The shard count is a placement knob, not a semantic one: any value
-  // must reproduce the 1-shard run bit for bit (floats included), at
-  // any thread count, without changing the pinned five-stage list.
-  exec::Executor ex1(1);
-  analysis::Pipeline::Config one_shard = TestConfig();
-  one_shard.aggregation_shards = 1;
-  analysis::Pipeline reference(one_shard, ex1);
-  reference.Run();
-  const analysis::Experiment& ref = reference.experiment();
-  ASSERT_FALSE(ref.candidates.empty());
-
-  for (const std::size_t shards : {std::size_t{2}, std::size_t{8}}) {
-    for (const unsigned threads : {1u, 8u}) {
-      exec::Executor ex(threads);
-      analysis::Pipeline::Config config = TestConfig();
-      config.aggregation_shards = shards;
-      analysis::Pipeline pipeline(config, ex);
-      pipeline.Run();
-      const analysis::Experiment& e = pipeline.experiment();
-      const std::string label =
-          "shards " + std::to_string(shards) + " threads " + std::to_string(threads);
-
-      ASSERT_EQ(e.candidates.size(), ref.candidates.size()) << label;
-      for (std::size_t i = 0; i < ref.candidates.size(); ++i) {
-        ASSERT_EQ(e.candidates[i].asn, ref.candidates[i].asn) << label;
-        EXPECT_EQ(std::bit_cast<std::uint64_t>(e.candidates[i].cell_demand_du),
-                  std::bit_cast<std::uint64_t>(ref.candidates[i].cell_demand_du))
-            << label << " asn " << ref.candidates[i].asn;
-        EXPECT_EQ(std::bit_cast<std::uint64_t>(e.candidates[i].total_demand_du),
-                  std::bit_cast<std::uint64_t>(ref.candidates[i].total_demand_du))
-            << label << " asn " << ref.candidates[i].asn;
-        EXPECT_EQ(e.candidates[i].cellular_blocks, ref.candidates[i].cellular_blocks)
-            << label << " asn " << ref.candidates[i].asn;
-      }
-      EXPECT_EQ(KeptAsns(e), KeptAsns(ref)) << label;
-
-      // Sharding lives inside the aggregate stage; the stage list stays
-      // the pinned five.
-      std::vector<std::string> stages;
-      for (const analysis::StageTiming& t : pipeline.timings()) stages.push_back(t.stage);
-      EXPECT_EQ(stages,
-                (std::vector<std::string>{"build_world", "generate_datasets", "classify",
-                                          "aggregate", "filter"}))
-          << label;
-    }
   }
 }
 
@@ -220,38 +194,39 @@ TEST(PipelineDeterminism, MatchesRunExperimentWrapper) {
 }
 
 TEST(PipelineStages, RunOnDemandAndRecordTimings) {
+  obs::MetricsRegistry::Global().ResetForTest();
   analysis::Pipeline pipeline(TestConfig());
-  // Asking for the last stage pulls in all five prerequisites, once each.
+  // Asking for the last stage pulls in every prerequisite, once each.
   pipeline.Filter();
-  std::vector<std::string> stages;
-  for (const analysis::StageTiming& t : pipeline.timings()) {
-    stages.push_back(t.stage);
-    EXPECT_GE(t.wall_ms, 0.0);
-    EXPECT_GT(t.items, 0u) << t.stage;
+  EXPECT_EQ(RecordedStageRuns(), kEveryStageOnce);
+  for (const auto& row : obs::MetricsRegistry::Global().Snapshot().spans) {
+    if (row.depth != 0 || !row.path.starts_with("pipeline.")) continue;
+    EXPECT_GE(row.total_ms, 0.0) << row.path;
+    EXPECT_GT(row.items, 0u) << row.path;
   }
-  EXPECT_EQ(stages,
-            (std::vector<std::string>{"build_world", "generate_datasets", "classify",
-                                      "aggregate", "filter"}));
 
-  // Re-running a cached stage is a no-op: no new timing entries.
+  // Re-running a cached stage is a no-op: no new stage spans.
   pipeline.Filter();
   pipeline.Classify();
-  EXPECT_EQ(pipeline.timings().size(), 5u);
+  EXPECT_EQ(RecordedStageRuns(), kEveryStageOnce);
 }
 
 TEST(PipelineStages, SetClassifierInvalidatesDownstreamOnly) {
+  obs::MetricsRegistry::Global().ResetForTest();
   analysis::Pipeline pipeline(TestConfig());
   pipeline.Run();
   const std::size_t baseline_cellular = pipeline.experiment().classified.cellular().size();
 
   // A maximally strict classifier: no block has this much evidence.
   pipeline.set_classifier({.threshold = 1.0, .min_netinfo_hits = 1000000000});
-  EXPECT_EQ(pipeline.timings().size(), 5u);  // nothing re-ran yet
+  EXPECT_EQ(RecordedStageRuns(), kEveryStageOnce);  // nothing re-ran yet
   pipeline.Run();
   EXPECT_EQ(pipeline.experiment().classified.cellular().size(), 0u);
   EXPECT_TRUE(pipeline.experiment().filtered.kept.empty());
   // World + datasets were kept: only classify/aggregate/filter re-ran.
-  EXPECT_EQ(pipeline.timings().size(), 8u);
+  StageRuns want = kEveryStageOnce;
+  want["classify"] = want["aggregate"] = want["filter"] = 2;
+  EXPECT_EQ(RecordedStageRuns(), want);
 
   // Restoring the default reproduces the original classification.
   pipeline.set_classifier({});
@@ -260,6 +235,7 @@ TEST(PipelineStages, SetClassifierInvalidatesDownstreamOnly) {
 }
 
 TEST(PipelineStages, SetFiltersInvalidatesOnlyFilter) {
+  obs::MetricsRegistry::Global().ResetForTest();
   analysis::Pipeline pipeline(TestConfig());
   pipeline.Run();
   const std::size_t candidates = pipeline.experiment().candidates.size();
@@ -273,7 +249,9 @@ TEST(PipelineStages, SetFiltersInvalidatesOnlyFilter) {
   pipeline.Run();
   // With every rule disabled the kept set is exactly the candidate set.
   EXPECT_EQ(pipeline.experiment().filtered.kept.size(), candidates);
-  EXPECT_EQ(pipeline.timings().size(), 6u);  // only filter re-ran
+  StageRuns want = kEveryStageOnce;
+  want["filter"] = 2;  // only filter re-ran
+  EXPECT_EQ(RecordedStageRuns(), want);
 }
 
 TEST(PaperScale, EnvOverridesAndRejectsGarbage) {

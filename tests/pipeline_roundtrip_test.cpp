@@ -10,6 +10,8 @@
 #include "cellspot/analysis/experiment.hpp"
 #include "cellspot/asdb/serialization.hpp"
 #include "cellspot/cdn/beacon_log.hpp"
+#include "cellspot/core/sharded_aggregation.hpp"
+#include "cellspot/exec/executor.hpp"
 #include "cellspot/util/csv.hpp"
 #include "cellspot/util/rng.hpp"
 
@@ -49,7 +51,8 @@ TEST(PipelineRoundTrip, CsvPathMatchesInMemoryPath) {
   const auto rib = asdb::LoadRoutingTableCsv(rib_in);
 
   const auto classified = core::SubnetClassifier().Classify(beacons);
-  const auto candidates = core::AggregateCandidateAses(rib, classified, beacons, demand);
+  const auto candidates = core::AggregateCandidateAsesSharded(rib, classified, beacons, demand,
+                                                              exec::Executor::Shared());
   const auto filtered = core::ApplyAsFilters(candidates, as_db);
 
   // Same classification...

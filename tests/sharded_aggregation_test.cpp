@@ -1,20 +1,21 @@
-// The sharded aggregation engine's central contract: byte-identical
-// output (floats compared bit for bit) at any shard count x thread
-// count combination, against the sequential reference engine — plus the
-// deterministic shard key, the pool/gauge telemetry, the per-shard
-// classified snapshot sections (round trip, parallel mapped decode,
-// corruption quarantine + rebuild) and the stream daemon's export path.
+// The aggregation engine's central contract: byte-identical output
+// (floats compared bit for bit) at any shard count x thread count
+// combination, against the sequential reference in
+// support/sequential_aggregation.hpp — plus the deterministic shard
+// key, the span/gauge telemetry, the per-shard classified snapshot
+// sections (round trip, parallel mapped decode, corruption and retired
+// layouts quarantined + rebuilt) and the stream daemon's export path.
 #include "cellspot/core/sharded_aggregation.hpp"
 
 #include <gtest/gtest.h>
 
 #include <bit>
 #include <cstdint>
-#include <cstdlib>
 #include <filesystem>
 #include <set>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "cellspot/analysis/experiment.hpp"
@@ -27,6 +28,7 @@
 #include "cellspot/snapshot/stage_cache.hpp"
 #include "cellspot/stream/daemon.hpp"
 #include "cellspot/stream/event.hpp"
+#include "support/sequential_aggregation.hpp"
 
 namespace cellspot {
 namespace {
@@ -91,24 +93,12 @@ TEST(ShardOfAs, DeterministicInRangeAndSpreading) {
   EXPECT_EQ(hit.size(), 8u);
 }
 
-TEST(DefaultAggregationShards, EnvOverridesAndRejectsGarbage) {
-  ::unsetenv("CELLSPOT_AGG_SHARDS");
-  EXPECT_EQ(core::DefaultAggregationShards(), 8u);
-  ::setenv("CELLSPOT_AGG_SHARDS", "3", 1);
-  EXPECT_EQ(core::DefaultAggregationShards(), 3u);
-  for (const char* bad : {"abc", "0", "-2", "1.5"}) {
-    ::setenv("CELLSPOT_AGG_SHARDS", bad, 1);
-    EXPECT_THROW((void)core::DefaultAggregationShards(), std::invalid_argument)
-        << "value '" << bad << "'";
-  }
-  ::unsetenv("CELLSPOT_AGG_SHARDS");
-}
-
 TEST(ShardedAggregation, ByteIdenticalAcrossShardAndThreadMatrix) {
   const analysis::Experiment& exp = TinyExperiment();
   exec::Executor ref_ex(1);
-  const std::vector<core::AsAggregate> reference = core::AggregateCandidateAsesSequential(
-      exp.world.rib(), exp.classified, exp.beacons, exp.demand, ref_ex);
+  const std::vector<core::AsAggregate> reference =
+      test_support::AggregateCandidateAsesSequential(exp.world.rib(), exp.classified,
+                                                     exp.beacons, exp.demand, ref_ex);
   ASSERT_FALSE(reference.empty());
 
   for (const std::size_t shards : {std::size_t{1}, std::size_t{2}, std::size_t{8}}) {
@@ -124,16 +114,24 @@ TEST(ShardedAggregation, ByteIdenticalAcrossShardAndThreadMatrix) {
   }
 }
 
+// The {} config: kAggregationShards (8) shards, at 1, 2 and 8 threads.
 TEST(ShardedAggregation, DefaultOverloadMatchesSequentialEngine) {
   const analysis::Experiment& exp = TinyExperiment();
-  exec::Executor ex(4);
-  const auto reference = core::AggregateCandidateAsesSequential(
-      exp.world.rib(), exp.classified, exp.beacons, exp.demand, ex);
-  const auto via_default = core::AggregateCandidateAses(exp.world.rib(), exp.classified,
-                                                        exp.beacons, exp.demand);
-  ExpectBitIdentical(via_default, reference, "default overload");
+  exec::Executor ref_ex(1);
+  const auto reference = test_support::AggregateCandidateAsesSequential(
+      exp.world.rib(), exp.classified, exp.beacons, exp.demand, ref_ex);
+  for (const unsigned threads : {1u, 2u, 8u}) {
+    obs::MetricsRegistry::Global().ResetForTest();
+    exec::Executor ex(threads);
+    const auto via_default = core::AggregateCandidateAsesSharded(
+        exp.world.rib(), exp.classified, exp.beacons, exp.demand, ex, {});
+    ExpectBitIdentical(via_default, reference,
+                       "default config threads=" + std::to_string(threads));
+    EXPECT_EQ(GaugeValue("aggregate.shards"), 8.0);
+  }
 }
 
+// One "aggregate.shard" span per shard plus the "aggregate.shards" gauge.
 TEST(ShardedAggregation, RecordsShardSpansAndPoolGauges) {
   const analysis::Experiment& exp = TinyExperiment();
   obs::MetricsRegistry::Global().ResetForTest();
@@ -144,12 +142,6 @@ TEST(ShardedAggregation, RecordsShardSpansAndPoolGauges) {
   ASSERT_FALSE(candidates.empty());
 
   EXPECT_EQ(GaugeValue("aggregate.shards"), 4.0);
-  // Every candidate AS holds at least one cellular block, so at least
-  // one chunk was pooled somewhere; capacity is a whole-slab multiple.
-  EXPECT_GE(GaugeValue("aggregate.pool.chunk_hwm"), 1.0);
-  EXPECT_GE(GaugeValue("aggregate.pool.slabs"), 1.0);
-  EXPECT_GE(GaugeValue("aggregate.pool.chunk_capacity"),
-            GaugeValue("aggregate.pool.chunk_hwm"));
 
   std::uint64_t shard_spans = 0;
   for (const auto& s : obs::MetricsRegistry::Global().Snapshot().spans) {
@@ -181,18 +173,59 @@ TEST(ClassifiedShardedSnapshot, RoundTripsAtSeveralShardCounts) {
     EXPECT_EQ(decoded.ratios(), classified.ratios()) << k << " shards";
     EXPECT_EQ(decoded.cellular(), classified.cellular()) << k << " shards";
     // Ordered concatenation preserved insertion order, so re-encoding
-    // in the canonical single-merge layout is byte-identical.
+    // in the stored layout is byte-identical.
     EXPECT_EQ(snapshot::EncodeSnapshot(snapshot::EncodeClassified(decoded)), canonical)
         << k << " shards";
   }
 }
 
-TEST(ClassifiedShardedSnapshot, LegacyTwoSectionLayoutStillDecodes) {
-  const core::ClassifiedSubnets& classified = TinyExperiment().classified;
-  const core::ClassifiedSubnets decoded =
-      snapshot::DecodeClassified(snapshot::EncodeClassified(classified));
-  EXPECT_EQ(decoded.ratios(), classified.ratios());
-  EXPECT_EQ(decoded.cellular(), classified.cellular());
+/// The retired two-section layout: "classified.ratios" and
+/// "classified.cellular", no manifest. A 1-shard encoding with the ".0"
+/// suffixes dropped is byte for byte what that encoder wrote.
+std::vector<snapshot::Section> TwoSectionLayout(const core::ClassifiedSubnets& classified) {
+  std::vector<snapshot::Section> sections;
+  for (snapshot::Section& s : snapshot::EncodeClassifiedSharded(classified, 1)) {
+    if (s.name == snapshot::kClassifiedShardsSection) continue;
+    s.name.resize(s.name.size() - 2);
+    sections.push_back(std::move(s));
+  }
+  return sections;
+}
+
+TEST(ClassifiedShardedSnapshot, TwoSectionLayoutIsRejectedAndRebuilt) {
+  const analysis::Experiment& exp = TinyExperiment();
+  const std::vector<snapshot::Section> sections = TwoSectionLayout(exp.classified);
+  ASSERT_EQ(sections.size(), 2u);
+  EXPECT_EQ(sections[0].name, "classified.ratios");
+  EXPECT_EQ(sections[1].name, "classified.cellular");
+  try {
+    (void)snapshot::DecodeClassified(sections);
+    ADD_FAILURE() << "two-section layout decoded";
+  } catch (const snapshot::SnapshotError& e) {
+    EXPECT_EQ(e.reason(), snapshot::SnapshotErrorReason::kMalformed) << e.what();
+  }
+
+  // The stage cache quarantines such a file and rebuilds.
+  const simnet::WorldConfig config = exp.world.config();
+  const fs::path dir = fs::path(::testing::TempDir()) / "shardcache_two_section";
+  fs::remove_all(dir);
+  snapshot::StageCache cache(dir);
+  ASSERT_TRUE(cache.enabled());
+  const fs::path path = cache.ClassifiedPath(config, {});
+  snapshot::WriteSnapshotFile(path, sections);
+  exec::Executor ex(4);
+
+  obs::MetricsRegistry::Global().ResetForTest();
+  EXPECT_FALSE(cache.TryLoadClassified(config, {}, &ex).has_value());
+  EXPECT_EQ(CounterValue("snapshot.miss.malformed"), 1u);
+  EXPECT_FALSE(fs::exists(path)) << "the two-section file must not stay in place";
+  EXPECT_TRUE(fs::exists(path.string() + ".corrupt"));
+
+  cache.StoreClassified(config, {}, exp.classified);
+  auto reloaded = cache.TryLoadClassified(config, {}, &ex);
+  ASSERT_TRUE(reloaded.has_value());
+  EXPECT_EQ(reloaded->ratios(), exp.classified.ratios());
+  EXPECT_EQ(reloaded->cellular(), exp.classified.cellular());
 }
 
 TEST(ClassifiedShardedSnapshot, MappedDecodeMatchesWithAndWithoutExecutor) {
@@ -344,8 +377,8 @@ TEST(StreamDaemonAggregation, ExportCandidatesMatchesBatchEngines) {
   }
 
   exec::Executor ex(4);
-  const auto via_daemon = daemon.ExportCandidates(ex, {.shards = 8});
-  const auto batch = core::AggregateCandidateAsesSequential(
+  const auto via_daemon = daemon.ExportCandidates(ex);
+  const auto batch = test_support::AggregateCandidateAsesSequential(
       TinyWorld().rib(), daemon.ExportClassified(), daemon.ExportBeacons(),
       daemon.ExportDemand(), ex);
   ASSERT_FALSE(via_daemon.empty());

@@ -1,6 +1,6 @@
 // The persistent stage cache through analysis::Pipeline: a second run
 // with the same config must hit every cached stage (no
-// pipeline.build_world / generate_datasets / classify spans or timings)
+// pipeline.build_world / compile_lpm / generate_datasets / classify spans)
 // and produce byte-identical exports; any config change must key a
 // different snapshot and recompute.
 #include "cellspot/analysis/pipeline.hpp"
@@ -41,13 +41,6 @@ bool HasPipelineSpan(std::string_view leaf) {
   return false;
 }
 
-bool HasTiming(const Pipeline& p, std::string_view stage) {
-  for (const StageTiming& t : p.timings()) {
-    if (t.stage == stage) return true;
-  }
-  return false;
-}
-
 std::string Exports(const Experiment& exp) {
   std::ostringstream out;
   exp.beacons.SaveCsv(out);
@@ -68,9 +61,10 @@ TEST(StageCachePipeline, WarmRunSkipsCachedStagesByteIdentically) {
   obs::MetricsRegistry::Global().ResetForTest();
   Pipeline cold(config);
   cold.Run();
-  EXPECT_TRUE(HasTiming(cold, "build_world"));
-  EXPECT_TRUE(HasTiming(cold, "generate_datasets"));
-  EXPECT_TRUE(HasTiming(cold, "classify"));
+  EXPECT_TRUE(HasPipelineSpan("build_world"));
+  EXPECT_TRUE(HasPipelineSpan("compile_lpm"));
+  EXPECT_TRUE(HasPipelineSpan("generate_datasets"));
+  EXPECT_TRUE(HasPipelineSpan("classify"));
   EXPECT_EQ(CounterValue("snapshot.hit"), 0u);
   // world + datasets + classified + the compiled LPM engine
   EXPECT_EQ(CounterValue("snapshot.miss.absent"), 4u);
@@ -82,16 +76,14 @@ TEST(StageCachePipeline, WarmRunSkipsCachedStagesByteIdentically) {
   EXPECT_EQ(CounterValue("snapshot.hit"), 4u);
   EXPECT_EQ(CounterValue("snapshot.miss"), 0u);
   EXPECT_GT(CounterValue("snapshot.bytes_read"), 0u);
-  // The cached stages never ran: no spans, no timings.
+  // The cached stages never ran: no stage spans.
   EXPECT_FALSE(HasPipelineSpan("build_world"));
+  EXPECT_FALSE(HasPipelineSpan("compile_lpm"));
   EXPECT_FALSE(HasPipelineSpan("generate_datasets"));
   EXPECT_FALSE(HasPipelineSpan("classify"));
-  EXPECT_FALSE(HasTiming(warm, "build_world"));
-  EXPECT_FALSE(HasTiming(warm, "generate_datasets"));
-  EXPECT_FALSE(HasTiming(warm, "classify"));
   // Aggregate/filter are recomputed (cheap, not snapshotted).
-  EXPECT_TRUE(HasTiming(warm, "aggregate"));
-  EXPECT_TRUE(HasTiming(warm, "filter"));
+  EXPECT_TRUE(HasPipelineSpan("aggregate"));
+  EXPECT_TRUE(HasPipelineSpan("filter"));
 
   EXPECT_EQ(Exports(warm.experiment()), Exports(cold.experiment()));
   EXPECT_EQ(warm.experiment().classified.ratios(), cold.experiment().classified.ratios());
@@ -112,7 +104,7 @@ TEST(StageCachePipeline, DifferentSeedKeysDifferentSnapshots) {
   other.Run();
   EXPECT_EQ(CounterValue("snapshot.hit"), 0u);
   EXPECT_EQ(CounterValue("snapshot.miss.absent"), 4u);
-  EXPECT_TRUE(HasTiming(other, "build_world"));
+  EXPECT_TRUE(HasPipelineSpan("build_world"));
 }
 
 TEST(StageCachePipeline, ClassifierConfigKeysOnlyTheClassifiedStage) {
@@ -129,8 +121,8 @@ TEST(StageCachePipeline, ClassifierConfigKeysOnlyTheClassifiedStage) {
   // the classifier config and must recompute.
   EXPECT_EQ(CounterValue("snapshot.hit"), 3u);
   EXPECT_EQ(CounterValue("snapshot.miss.absent"), 1u);
-  EXPECT_FALSE(HasTiming(reclass, "build_world"));
-  EXPECT_TRUE(HasTiming(reclass, "classify"));
+  EXPECT_FALSE(HasPipelineSpan("build_world"));
+  EXPECT_TRUE(HasPipelineSpan("classify"));
 
   // …and set_classifier invalidation composes with the cache: switching
   // back to the default config hits the snapshot stored by the first run.
@@ -146,7 +138,7 @@ TEST(StageCachePipeline, EmptySnapshotDirDisablesCaching) {
   (void)p.BuildWorld();
   EXPECT_EQ(CounterValue("snapshot.hit"), 0u);
   EXPECT_EQ(CounterValue("snapshot.miss"), 0u);
-  EXPECT_TRUE(HasTiming(p, "build_world"));
+  EXPECT_TRUE(HasPipelineSpan("build_world"));
 }
 
 // Writers use write-to-temp + atomic rename, so a reader racing a

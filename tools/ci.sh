@@ -17,6 +17,8 @@
 #                            # + header self-containment + -Werror build
 #   tools/ci.sh audit        # lint, then the audit/layering fixture suites and
 #                            # the OrderedMutex lock-order tests, ASan then TSan
+#   tools/ci.sh perfbench    # perfbench/ still builds against src/ and runs
+#                            # every workload at Tiny (perfbench/smoke_test.py)
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -131,20 +133,19 @@ EOF
   fi
 }
 
-# The sharded aggregation engine under both sanitizers: the shard x
-# thread byte-identity matrix, the differential against the sequential
-# engine, the pooled allocator, and the per-shard snapshot sections
-# (roundtrip + corruption quarantine) under ASan+UBSan; then the same
-# matrix and the pipeline determinism suite under TSan with a forced
-# multi-worker pool, so shard bodies really interleave.
+# The aggregation engine under both sanitizers: the shard x thread
+# byte-identity matrix, the differential against the sequential
+# reference, and the per-shard snapshot sections (roundtrip + corruption
+# quarantine) under ASan+UBSan; then the same matrix and the pipeline
+# determinism suite under TSan with a forced multi-worker pool, so shard
+# bodies really interleave.
 run_shard() {
   local dir="build-asan"
   cmake -B "$dir" -S . -DCELLSPOT_SANITIZE=address
   cmake --build "$dir" -j "$jobs" --target \
-    sharded_aggregation_test util_pool_test core_aggregation_test \
+    sharded_aggregation_test core_aggregation_test \
     snapshot_roundtrip_test snapshot_cache_test
   "$dir/tests/sharded_aggregation_test"
-  "$dir/tests/util_pool_test"
   "$dir/tests/core_aggregation_test"
   "$dir/tests/snapshot_roundtrip_test"
   "$dir/tests/snapshot_cache_test"
@@ -303,6 +304,14 @@ stream_queue_test stream_checkpoint_test stream_event_test"
   done
 }
 
+# The end-to-end benchmark's smoke test: builds perfbench/ (its own
+# CMake project over src/) so a library API change that breaks the
+# benchmark fails here, runs all four workloads at Tiny in both modes,
+# and checks that an injected mismatch counts as a failed op.
+run_perfbench() {
+  python3 perfbench/smoke_test.py
+}
+
 case "$variant" in
   plain)       run build ;;
   sanitize)    run build-asan -DCELLSPOT_SANITIZE=address ;;
@@ -315,11 +324,13 @@ case "$variant" in
   lpm)         run_lpm ;;
   lint)        run_lint ;;
   audit)       run_audit ;;
+  perfbench)   run_perfbench ;;
   all)         run_audit
                run build
                run build-asan -DCELLSPOT_SANITIZE=address
                run_tsan
                run_bench_smoke
+               run_perfbench
                summarize_skips ;;
-  *) echo "usage: tools/ci.sh [plain|sanitize|tsan|bench-smoke [--update-baseline]|shard|snapshot|stream-chaos|query|lpm|lint|audit|all]" >&2; exit 2 ;;
+  *) echo "usage: tools/ci.sh [plain|sanitize|tsan|bench-smoke [--update-baseline]|shard|snapshot|stream-chaos|query|lpm|lint|audit|perfbench|all]" >&2; exit 2 ;;
 esac

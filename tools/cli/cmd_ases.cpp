@@ -3,9 +3,10 @@
 #include <string>
 #include <utility>
 
-#include "cellspot/core/aggregation.hpp"
 #include "cellspot/core/as_pipeline.hpp"
 #include "cellspot/core/classifier.hpp"
+#include "cellspot/core/sharded_aggregation.hpp"
+#include "cellspot/exec/executor.hpp"
 #include "cellspot/util/sink.hpp"
 #include "cellspot/util/strings.hpp"
 #include "cli/command.hpp"
@@ -24,8 +25,8 @@ int CmdAses(const Options& opts) {
   classifier_config.threshold = opts.GetDouble("threshold", 0.5);
   const auto classified =
       core::SubnetClassifier(classifier_config).Classify(inputs->beacons);
-  auto candidates = core::AggregateCandidateAses(inputs->rib, classified,
-                                                 inputs->beacons, inputs->demand);
+  auto candidates = core::AggregateCandidateAsesSharded(
+      inputs->rib, classified, inputs->beacons, inputs->demand, exec::Executor::Shared());
 
   core::AsFilterConfig filter_config;
   filter_config.min_cell_demand_du = opts.GetDouble("min-demand", 0.1);

@@ -7,9 +7,9 @@
 #include <string>
 #include <utility>
 
-#include "cellspot/core/aggregation.hpp"
 #include "cellspot/core/as_pipeline.hpp"
 #include "cellspot/core/classifier.hpp"
+#include "cellspot/core/sharded_aggregation.hpp"
 #include "cellspot/exec/executor.hpp"
 #include "cellspot/query/engine.hpp"
 #include "cellspot/query/plan.hpp"
@@ -29,8 +29,8 @@ int CmdReport(const Options& opts) {
   if (!inputs) return kExitError;
 
   const auto classified = core::SubnetClassifier().Classify(inputs->beacons);
-  auto candidates = core::AggregateCandidateAses(inputs->rib, classified,
-                                                 inputs->beacons, inputs->demand);
+  auto candidates = core::AggregateCandidateAsesSharded(
+      inputs->rib, classified, inputs->beacons, inputs->demand, exec::Executor::Shared());
   const auto outcome = core::ApplyAsFilters(std::move(candidates), inputs->as_db);
 
   query::ArtifactRefs refs;
