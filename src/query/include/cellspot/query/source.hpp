@@ -39,9 +39,11 @@ struct SnapshotBundle {
   core::AsFilterOutcome filtered;
 };
 
-/// Load from explicit snapshot files. `classified_path` may be empty:
-/// the classification is then recomputed from the beacon dataset with
-/// `options.classifier` (deterministic, so equal to the snapshot).
+/// Load from explicit snapshot files, each decoded from its mapping
+/// (the classified shards in parallel on `executor`). `classified_path`
+/// may be empty: the classification is then recomputed from the beacon
+/// dataset with `options.classifier` (deterministic, so equal to the
+/// snapshot).
 /// Throws SnapshotError for container defects, QueryError{kBadSource}
 /// for structural problems.
 [[nodiscard]] SnapshotBundle LoadBundleFromFiles(const std::filesystem::path& world_path,

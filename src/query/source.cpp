@@ -274,7 +274,7 @@ SnapshotBundle LoadBundleFromFiles(const fs::path& world_path,
         core::SubnetClassifier(options.classifier).Classify(bundle.beacons, executor);
   } else {
     bundle.classified =
-        snapshot::DecodeClassified(snapshot::ReadSnapshotFile(classified_path));
+        snapshot::DecodeClassified(snapshot::ReadSnapshotFile(classified_path), &executor);
   }
   FinishBundle(bundle, options, executor);
   RecordDecode(span);

@@ -67,8 +67,9 @@ class ByteWriter {
   std::string buf_;
 };
 
-/// Bounds-checked decoder; throws SnapshotError{kTruncated} on reads past
-/// the end and {kMalformed} on unterminated varints.
+/// Bounds-checked decoder that accepts only what ByteWriter writes;
+/// throws SnapshotError{kTruncated} on reads past the end and
+/// {kMalformed} on overlong varints and bool bytes other than 0 and 1.
 class ByteReader {
  public:
   explicit ByteReader(std::string_view data) noexcept : data_(data) {}
@@ -95,20 +96,31 @@ class ByteReader {
 
   [[nodiscard]] std::int32_t I32() { return static_cast<std::int32_t>(U32()); }
 
+  /// The tenth byte carries only bit 63, so anything above 1 there is
+  /// an overflow (or an eleventh byte) that Varint(v) never writes.
   [[nodiscard]] std::uint64_t Varint() {
     std::uint64_t v = 0;
-    for (int shift = 0; shift < 64; shift += 7) {
+    for (int shift = 0;; shift += 7) {
       const std::uint8_t byte = U8();
+      if (shift == 63 && byte > 1) {
+        throw SnapshotError("varint longer than 64 bits",
+                            SnapshotErrorReason::kMalformed);
+      }
       v |= static_cast<std::uint64_t>(byte & 0x7F) << shift;
       if ((byte & 0x80) == 0) return v;
     }
-    throw SnapshotError("varint longer than 64 bits",
-                        SnapshotErrorReason::kMalformed);
   }
 
   [[nodiscard]] double F64() { return std::bit_cast<double>(U64()); }
 
-  [[nodiscard]] bool Bool() { return U8() != 0; }
+  [[nodiscard]] bool Bool() {
+    const std::uint8_t byte = U8();
+    if (byte > 1) {
+      throw SnapshotError("bool byte " + std::to_string(byte),
+                          SnapshotErrorReason::kMalformed);
+    }
+    return byte == 1;
+  }
 
   [[nodiscard]] std::string_view String() {
     const std::uint64_t n = Varint();

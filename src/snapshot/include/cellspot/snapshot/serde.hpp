@@ -1,13 +1,14 @@
 // Writers/readers between the in-memory pipeline artifacts and the
-// snapshot container: simnet::World, the BEACON/DEMAND datasets and the
-// classification output. Decoding validates as it goes (enum ranges,
-// stats consistency, full payload consumption) and throws SnapshotError;
-// a decoded artifact iterates in exactly the order its source did, so
-// downstream exports are byte-identical to a cold run.
+// snapshot container: simnet::World, the BEACON/DEMAND datasets, the
+// classification output and the compiled RIB engine. Encoders return
+// owned Sections; decoders read a validated SnapshotImage. Decoding
+// validates as it goes (enum ranges, stats consistency, full payload
+// consumption) and throws SnapshotError; a decoded artifact iterates in
+// exactly the order its source did, so downstream exports are
+// byte-identical to a cold run.
 #pragma once
 
 #include <cstddef>
-#include <memory>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -37,12 +38,12 @@ namespace cellspot::snapshot {
 [[nodiscard]] std::string EncodeClassifierConfig(const core::ClassifierConfig& config);
 
 [[nodiscard]] std::vector<Section> EncodeWorld(const simnet::World& world);
-[[nodiscard]] simnet::World DecodeWorld(const std::vector<Section>& sections);
+[[nodiscard]] simnet::World DecodeWorld(const SnapshotImage& image);
 
 [[nodiscard]] std::vector<Section> EncodeDatasets(const dataset::BeaconDataset& beacons,
                                                   const dataset::DemandDataset& demand);
 [[nodiscard]] std::pair<dataset::BeaconDataset, dataset::DemandDataset> DecodeDatasets(
-    const std::vector<Section>& sections);
+    const SnapshotImage& image);
 
 /// Marker/manifest section of the classified layout: varint shard
 /// count, then total ratio and cellular row counts (the decoder
@@ -60,7 +61,7 @@ inline constexpr std::size_t kClassifiedStoreShards = 8;
 /// manifest. Ordered concatenation at decode reproduces the exact row
 /// order, so a decoded object re-encodes byte-identically at any shard
 /// count; meanwhile a warm load can decode the shards in parallel
-/// (DecodeClassifiedMapped).
+/// (DecodeClassified with an executor).
 [[nodiscard]] std::vector<Section> EncodeClassifiedSharded(
     const core::ClassifiedSubnets& classified, std::size_t shard_count);
 
@@ -69,37 +70,28 @@ inline constexpr std::size_t kClassifiedStoreShards = 8;
 /// determinism tests and stream exports.
 [[nodiscard]] std::vector<Section> EncodeClassified(const core::ClassifiedSubnets& classified);
 
-/// Decode the classified layout. A snapshot without the manifest
-/// section is SnapshotError{kMalformed}.
-[[nodiscard]] core::ClassifiedSubnets DecodeClassified(const std::vector<Section>& sections);
-
-/// Decode a classified snapshot straight off a memory-mapped file, the
-/// per-shard sections in parallel on `executor` (nullptr decodes
-/// sequentially); validation and the resulting object are identical
-/// either way.
-[[nodiscard]] core::ClassifiedSubnets DecodeClassifiedMapped(const class MappedSnapshot& snap,
-                                                             exec::Executor* executor);
+/// Decode the classified layout, the per-shard sections in parallel on
+/// `executor` (nullptr decodes sequentially); validation and the
+/// resulting object are identical either way. A snapshot without the
+/// manifest section is SnapshotError{kMalformed}.
+[[nodiscard]] core::ClassifiedSubnets DecodeClassified(const SnapshotImage& image,
+                                                       exec::Executor* executor = nullptr);
 
 /// Section name of the compiled flat LPM engine (see netaddr::FlatLpm
 /// for the payload layout). Big-endian fixed-width addresses inside the
 /// payload make it position-independent: it can be served as-is from a
-/// memory-mapped snapshot at any alignment.
+/// mapped snapshot at any alignment.
 inline constexpr std::string_view kLpmRibSection = "lpm.rib";
 
 /// Encode the routing table's compiled engine (built on demand via
 /// rib.Flat()) as a one-section snapshot.
 [[nodiscard]] std::vector<Section> EncodeRibLpm(const asdb::RoutingTable& rib);
 
-/// Rebuild an engine from a payload, copying the bytes — safe when the
-/// payload buffer is transient. Throws SnapshotError{kMalformed} on any
-/// structural defect (netaddr::FlatLpmError translated).
-[[nodiscard]] asdb::RoutingTable::FlatRib DecodeRibLpm(std::string_view payload);
-
-/// Zero-copy engine over an externally owned payload, typically a
-/// MappedSnapshot section; `keepalive` pins the backing bytes for the
-/// engine's lifetime. Same validation and errors as DecodeRibLpm.
-[[nodiscard]] asdb::RoutingTable::FlatRib ViewRibLpm(
-    std::string_view payload, std::shared_ptr<const void> keepalive);
+/// Zero-copy engine over the image's lpm.rib payload, pinning the
+/// image's bytes (for a file, the mapping) for the engine's lifetime.
+/// Throws SnapshotError{kMalformed} on any structural defect
+/// (netaddr::FlatLpmError translated).
+[[nodiscard]] asdb::RoutingTable::FlatRib DecodeRibLpm(const SnapshotImage& image);
 
 /// Friend hook into the private state of World, DemandDataset and
 /// ClassifiedSubnets; implementation detail of the functions above.

@@ -16,10 +16,17 @@
 // readers refuse other versions (SnapshotErrorReason::kVersionMismatch)
 // and the stage cache folds the version into its file names, so old and
 // new binaries never feed each other stale bytes.
+//
+// The write side encodes owned Sections. The read side is one type,
+// SnapshotImage, made only by ReadSnapshotFile (maps a file) and
+// DecodeSnapshot (copies bytes already in memory); every decoder of a
+// pipeline artifact takes an image.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <filesystem>
+#include <memory>
 #include <span>
 #include <string>
 #include <string_view>
@@ -32,34 +39,61 @@ namespace cellspot::snapshot {
 inline constexpr std::string_view kSnapshotMagic = "CSPT";
 inline constexpr std::uint32_t kSnapshotFormatVersion = 1;
 
-/// One named, CRC-protected blob inside a snapshot file.
+/// One named, CRC-protected blob, as the writer hands it over.
 struct Section {
   std::string name;
   std::string payload;
 };
 
-/// A zero-copy window onto one section of a snapshot image. Both views
-/// alias the image buffer: they stay valid exactly as long as it does
-/// (e.g. for the lifetime of a MappedSnapshot).
+/// One section of a SnapshotImage; both views alias the image's bytes.
 struct SectionView {
   std::string_view name;
   std::string_view payload;
 };
 
+/// A validated snapshot image. Magic, version and every section's CRC
+/// are checked once, when the image is made; after that each section is
+/// a zero-copy view of bytes that keepalive() pins. Copies share those
+/// bytes.
+class SnapshotImage {
+ public:
+  [[nodiscard]] const std::vector<SectionView>& sections() const noexcept {
+    return sections_;
+  }
+
+  /// Payload of the named section; throws SnapshotError{kMalformed}
+  /// when absent.
+  [[nodiscard]] std::string_view Payload(std::string_view name) const;
+
+  /// Shared ownership of the bytes: while any copy is alive, every view
+  /// into the image stays valid, so an artifact built over a payload
+  /// (e.g. a FlatLpm view) can outlive the image itself.
+  [[nodiscard]] const std::shared_ptr<const void>& keepalive() const noexcept {
+    return keepalive_;
+  }
+
+  /// Size of the whole image (the file size, for a mapped file).
+  [[nodiscard]] std::size_t size_bytes() const noexcept { return bytes_.size(); }
+
+ private:
+  friend SnapshotImage DecodeSnapshot(std::string_view bytes);
+  friend SnapshotImage ReadSnapshotFile(const std::filesystem::path& path);
+
+  /// Validates `bytes`, which `keepalive` keeps alive; throws
+  /// SnapshotError on any defect.
+  SnapshotImage(std::shared_ptr<const void> keepalive, std::string_view bytes);
+
+  std::shared_ptr<const void> keepalive_;
+  std::string_view bytes_;
+  std::vector<SectionView> sections_;
+};
+
 /// Serialize sections into the container format.
 [[nodiscard]] std::string EncodeSnapshot(std::span<const Section> sections);
 
-/// Parse a snapshot image without copying payloads: every returned view
-/// aliases `bytes`. CRCs are still verified. Throws SnapshotError on any
-/// defect. This is the decode core; DecodeSnapshot copies from it.
-[[nodiscard]] std::vector<SectionView> DecodeSnapshotViews(std::string_view bytes);
-
-/// Parse a snapshot image; throws SnapshotError on any defect.
-[[nodiscard]] std::vector<Section> DecodeSnapshot(std::string_view bytes);
-
-/// The named section; throws SnapshotError{kMalformed} when absent.
-[[nodiscard]] const Section& FindSection(const std::vector<Section>& sections,
-                                         std::string_view name);
+/// Validate an image held in memory; the result owns a copy of
+/// `bytes`. Throws SnapshotError on any defect.
+[[nodiscard]] SnapshotImage DecodeSnapshot(std::string_view bytes);
 
 /// Write atomically (tmp file + rename) so a crashed writer can never
 /// leave a half-written snapshot under the final name.
@@ -67,9 +101,12 @@ struct SectionView {
 void WriteSnapshotFile(const std::filesystem::path& path,
                        std::span<const Section> sections);
 
-/// Read and parse a snapshot file. Throws SnapshotError: kIo when the
-/// file cannot be read, otherwise whatever DecodeSnapshot finds.
-[[nodiscard]] std::vector<Section> ReadSnapshotFile(const std::filesystem::path& path);
+/// Map `path` read-only and validate it. Throws SnapshotError: kIo when
+/// the path cannot be opened, stat'd or mapped, or is not a regular
+/// file; otherwise whatever DecodeSnapshot finds in the same bytes (a
+/// 0-byte file is kTruncated). The mapping lives as long as the image
+/// or a keepalive() copy.
+[[nodiscard]] SnapshotImage ReadSnapshotFile(const std::filesystem::path& path);
 
 /// Rename a corrupt snapshot to "<path>.corrupt" (quarantine-in-place,
 /// preserving the bytes for diagnosis). Best-effort: returns false when

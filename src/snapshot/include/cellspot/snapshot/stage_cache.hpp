@@ -6,9 +6,11 @@
 //   <dir>/classified.<key>.snap   classification output
 //   <dir>/lpm.<key>.snap          compiled flat LPM engine for the RIB
 //
-// The lpm entry is special on the read side: it is served zero-copy
-// from a memory-mapped file (MappedSnapshot + FlatLpm::View), so a warm
-// start adopts the compiled engine without rebuilding — or copying — it.
+// Every entry loads the same way: the file is mapped and validated
+// (ReadSnapshotFile) and decoded from the mapping. The mapping is
+// released when the decode returns, except for the lpm entry, whose
+// engine views the mapped payload and pins it (FlatLpm::View), so a
+// warm start adopts the compiled engine without rebuilding or copying.
 //
 // <key> is 16 hex digits of FNV-1a-64 over the snapshot format version
 // and the canonical byte encoding of every config the stage depends on
@@ -19,7 +21,8 @@
 // Loads are corruption-tolerant: any SnapshotError is reported on
 // stderr, counted under obs 'snapshot.miss.<reason>', the offending
 // file is quarantined in place (renamed '*.corrupt') and the caller
-// regenerates. Saves are best-effort: failures are counted
+// regenerates. A hit counts 'snapshot.hit' and adds the file's size to
+// 'snapshot.bytes_read'. Saves are best-effort: failures are counted
 // ('snapshot.save_error') and swallowed. The cache never throws.
 #pragma once
 
@@ -72,9 +75,8 @@ class StageCache {
                      const dataset::BeaconDataset& beacons,
                      const dataset::DemandDataset& demand);
 
-  /// Served from a memory-mapped file; the per-shard sections decode in
-  /// parallel on `executor` (nullptr decodes sequentially), with
-  /// identical results either way.
+  /// The per-shard sections decode in parallel on `executor` (nullptr
+  /// decodes sequentially), with identical results either way.
   [[nodiscard]] std::optional<core::ClassifiedSubnets> TryLoadClassified(
       const simnet::WorldConfig& config, const core::ClassifierConfig& classifier,
       exec::Executor* executor = nullptr);
@@ -84,14 +86,21 @@ class StageCache {
 
   [[nodiscard]] std::filesystem::path LpmPath(const simnet::WorldConfig& config) const;
 
-  /// Memory-map the cached compiled engine and serve it zero-copy (the
-  /// returned FlatLpm pins the mapping). Same corruption handling as
-  /// every other entry: report, count, quarantine, return nullopt.
+  /// The cached compiled engine, served zero-copy (the returned FlatLpm
+  /// pins the mapping).
   [[nodiscard]] std::optional<asdb::RoutingTable::FlatRib> TryLoadLpm(
       const simnet::WorldConfig& config);
   void StoreLpm(const simnet::WorldConfig& config, const asdb::RoutingTable& rib);
 
  private:
+  /// The one load routine behind every TryLoad*: a quiet miss when the
+  /// file is absent, otherwise decode(ReadSnapshotFile(path)) with the
+  /// corruption handling described at the top of this file. Defined
+  /// (and only used) in stage_cache.cpp.
+  template <typename Decode>
+  [[nodiscard]] auto TryLoad(const std::filesystem::path& path, std::string_view stage,
+                             Decode decode) const;
+
   /// Serialize the corrupt-file rename against itself: concurrent
   /// loaders of a shared cache directory may discover the same corrupt
   /// snapshot, and two racing renames would turn one quarantine into a

@@ -1,9 +1,9 @@
 #include "cellspot/snapshot/serde.hpp"
 
+#include <algorithm>
 #include <array>
 #include <cmath>
 #include <cstdint>
-#include <memory>
 #include <span>
 #include <stdexcept>
 #include <string>
@@ -12,7 +12,6 @@
 
 #include "cellspot/exec/executor.hpp"
 #include "cellspot/snapshot/binary_io.hpp"
-#include "cellspot/snapshot/mapped.hpp"
 #include "cellspot/util/error.hpp"
 
 namespace cellspot::snapshot {
@@ -46,26 +45,34 @@ void PutPrefix(ByteWriter& w, const netaddr::Prefix& p) {
   w.Bytes(std::string_view(reinterpret_cast<const char*>(bytes.data()), n));
 }
 
+/// Rejects host bits set past the length: the Prefix constructor would
+/// mask them silently, and the row would re-encode to other bytes.
 netaddr::Prefix GetPrefix(ByteReader& r) {
   const std::uint8_t family = r.U8();
   const std::uint8_t length = r.U8();
+  netaddr::IpAddress address;
   if (family == static_cast<std::uint8_t>(netaddr::Family::kIpv4)) {
     if (length > 32) Malformed("v4 prefix length " + std::to_string(length));
     const std::string_view raw = r.Bytes(4);
     const auto b = [&](int i) {
       return static_cast<std::uint32_t>(static_cast<std::uint8_t>(raw[i]));
     };
-    const std::uint32_t host = (b(0) << 24) | (b(1) << 16) | (b(2) << 8) | b(3);
-    return {netaddr::IpAddress::V4(host), length};
-  }
-  if (family == static_cast<std::uint8_t>(netaddr::Family::kIpv6)) {
+    address = netaddr::IpAddress::V4((b(0) << 24) | (b(1) << 16) | (b(2) << 8) | b(3));
+  } else if (family == static_cast<std::uint8_t>(netaddr::Family::kIpv6)) {
     if (length > 128) Malformed("v6 prefix length " + std::to_string(length));
     const std::string_view raw = r.Bytes(16);
     std::array<std::uint8_t, 16> bytes{};
     for (std::size_t i = 0; i < 16; ++i) bytes[i] = static_cast<std::uint8_t>(raw[i]);
-    return {netaddr::IpAddress::V6(bytes), length};
+    address = netaddr::IpAddress::V6(bytes);
+  } else {
+    Malformed("unknown address family " + std::to_string(family));
   }
-  Malformed("unknown address family " + std::to_string(family));
+  const netaddr::Prefix prefix(address, length);
+  if (prefix.address() != address) {
+    Malformed("prefix " + address.ToString() + "/" + std::to_string(length) +
+              " has host bits set");
+  }
+  return prefix;
 }
 
 double GetFiniteF64(ByteReader& r, std::string_view what) {
@@ -87,6 +94,15 @@ Enum GetEnum(ByteReader& r, std::uint8_t max_value, std::string_view what) {
   return static_cast<Enum>(v);
 }
 
+/// Capacity to reserve for `count` rows of at least `min_row_bytes`
+/// each: no more than the rest of the payload can hold, so a forged
+/// count fails as a short read instead of a huge allocation.
+std::size_t RowCapacity(const ByteReader& r, std::uint64_t count,
+                        std::size_t min_row_bytes) {
+  return static_cast<std::size_t>(
+      std::min<std::uint64_t>(count, r.remaining() / min_row_bytes));
+}
+
 asdb::AsNumber GetAsn(ByteReader& r) {
   const std::uint64_t v = r.Varint();
   if (v == 0 || v > 0xFFFFFFFFULL) Malformed("asn " + std::to_string(v));
@@ -98,7 +114,7 @@ asdb::AsNumber GetAsn(ByteReader& r) {
 // ---- Access ----------------------------------------------------------------
 
 struct Access {
-  static simnet::World DecodeWorldSections(const std::vector<Section>& sections);
+  static simnet::World DecodeWorld(const SnapshotImage& image);
 
   static void SetDemandTotal(dataset::DemandDataset& d, double total) {
     d.total_ = total;
@@ -209,7 +225,7 @@ simnet::WorldConfig DecodeWorldConfig(std::string_view payload) {
   c.study_month.month = r.I32();
   c.netinfo_coverage_scale = r.F64();
   const std::uint64_t country_count = r.Varint();
-  c.countries.reserve(country_count);
+  c.countries.reserve(RowCapacity(r, country_count, 56));
   for (std::uint64_t i = 0; i < country_count; ++i) {
     simnet::CountryProfile p;
     p.iso2 = std::string(r.String());
@@ -345,12 +361,12 @@ std::vector<Section> EncodeWorld(const simnet::World& world) {
   return sections;
 }
 
-simnet::World Access::DecodeWorldSections(const std::vector<Section>& sections) {
+simnet::World Access::DecodeWorld(const SnapshotImage& image) {
   simnet::World world;
-  world.config_ = DecodeWorldConfig(FindSection(sections, kWorldConfigSection).payload);
+  world.config_ = DecodeWorldConfig(image.Payload(kWorldConfigSection));
 
   {
-    ByteReader r(FindSection(sections, kWorldAsDbSection).payload);
+    ByteReader r(image.Payload(kWorldAsDbSection));
     const std::uint64_t count = r.Varint();
     for (std::uint64_t i = 0; i < count; ++i) {
       asdb::AsRecord rec;
@@ -367,7 +383,7 @@ simnet::World Access::DecodeWorldSections(const std::vector<Section>& sections) 
   }
 
   {
-    ByteReader r(FindSection(sections, kWorldRibSection).payload);
+    ByteReader r(image.Payload(kWorldRibSection));
     const std::uint64_t count = r.Varint();
     for (std::uint64_t i = 0; i < count; ++i) {
       const asdb::AsNumber asn = GetAsn(r);
@@ -378,9 +394,9 @@ simnet::World Access::DecodeWorldSections(const std::vector<Section>& sections) 
   }
 
   {
-    ByteReader r(FindSection(sections, kWorldSubnetsSection).payload);
+    ByteReader r(image.Payload(kWorldSubnetsSection));
     const std::uint64_t count = r.Varint();
-    world.subnets_.reserve(count);
+    world.subnets_.reserve(RowCapacity(r, count, 42));
     for (std::uint64_t i = 0; i < count; ++i) {
       simnet::Subnet s;
       s.block = GetPrefix(r);
@@ -404,10 +420,10 @@ simnet::World Access::DecodeWorldSections(const std::vector<Section>& sections) 
   }
 
   {
-    ByteReader r(FindSection(sections, kWorldOperatorsSection).payload);
+    ByteReader r(image.Payload(kWorldOperatorsSection));
     const std::uint64_t count = r.Varint();
-    world.operators_.reserve(count);
-    world.op_index_.reserve(count);
+    world.operators_.reserve(RowCapacity(r, count, 40));
+    world.op_index_.reserve(RowCapacity(r, count, 40));
     for (std::uint64_t i = 0; i < count; ++i) {
       simnet::OperatorInfo op;
       op.asn = GetAsn(r);
@@ -439,9 +455,9 @@ simnet::World Access::DecodeWorldSections(const std::vector<Section>& sections) 
   }
 
   {
-    ByteReader r(FindSection(sections, kWorldCarriersSection).payload);
+    ByteReader r(image.Payload(kWorldCarriersSection));
     const std::uint64_t count = r.Varint();
-    world.carriers_.reserve(count);
+    world.carriers_.reserve(RowCapacity(r, count, 2));
     for (std::uint64_t i = 0; i < count; ++i) {
       simnet::World::Carrier c;
       c.asn = GetAsn(r);
@@ -461,9 +477,7 @@ simnet::World Access::DecodeWorldSections(const std::vector<Section>& sections) 
   return world;
 }
 
-simnet::World DecodeWorld(const std::vector<Section>& sections) {
-  return Access::DecodeWorldSections(sections);
-}
+simnet::World DecodeWorld(const SnapshotImage& image) { return Access::DecodeWorld(image); }
 
 // ---- datasets --------------------------------------------------------------
 
@@ -505,10 +519,10 @@ std::vector<Section> EncodeDatasets(const dataset::BeaconDataset& beacons,
 }
 
 std::pair<dataset::BeaconDataset, dataset::DemandDataset> DecodeDatasets(
-    const std::vector<Section>& sections) {
+    const SnapshotImage& image) {
   dataset::BeaconDataset beacons;
   {
-    ByteReader r(FindSection(sections, kBeaconBlocksSection).payload);
+    ByteReader r(image.Payload(kBeaconBlocksSection));
     const std::uint64_t count = r.Varint();
     for (std::uint64_t i = 0; i < count; ++i) {
       const netaddr::Prefix block = GetPrefix(r);
@@ -532,7 +546,7 @@ std::pair<dataset::BeaconDataset, dataset::DemandDataset> DecodeDatasets(
 
   dataset::DemandDataset demand;
   {
-    ByteReader r(FindSection(sections, kDemandBlocksSection).payload);
+    ByteReader r(image.Payload(kDemandBlocksSection));
     const std::uint64_t count = r.Varint();
     for (std::uint64_t i = 0; i < count; ++i) {
       const netaddr::Prefix block = GetPrefix(r);
@@ -570,7 +584,7 @@ ClassifiedFragment DecodeClassifiedFragment(std::string_view ratios_payload,
   {
     ByteReader r(ratios_payload);
     const std::uint64_t count = r.Varint();
-    fragment.ratios.reserve(count);
+    fragment.ratios.reserve(RowCapacity(r, count, 14));
     for (std::uint64_t i = 0; i < count; ++i) {
       const netaddr::Prefix block = GetPrefix(r);
       const double ratio = GetFiniteF64(r, "cellular ratio");
@@ -584,7 +598,7 @@ ClassifiedFragment DecodeClassifiedFragment(std::string_view ratios_payload,
   {
     ByteReader r(cellular_payload);
     const std::uint64_t count = r.Varint();
-    fragment.cellular.reserve(count);
+    fragment.cellular.reserve(RowCapacity(r, count, 6));
     for (std::uint64_t i = 0; i < count; ++i) {
       fragment.cellular.push_back(GetPrefix(r));
     }
@@ -632,18 +646,37 @@ std::string ShardSectionName(std::string_view base, std::size_t shard) {
   return std::string(base) + "." + std::to_string(shard);
 }
 
-/// Shared core of the classified decode, parameterised over how section
-/// payloads are looked up (owned Sections vs mmap'd views). `executor`
-/// may be null: shards then decode sequentially, same result.
-template <typename PayloadOf>
-core::ClassifiedSubnets DecodeClassifiedImpl(std::string_view manifest,
-                                             PayloadOf&& payload_of,
-                                             exec::Executor* executor) {
+/// Append the `shard_count` sections "<base>.<k>" of one row kind:
+/// shard k holds rows [k*n/shards, (k+1)*n/shards) of `rows` in
+/// iteration order — a contiguous even split, so concatenating the
+/// shards in index order is exactly the original row order. Each
+/// payload is a varint row count followed by the rows `put` writes.
+template <typename Rows, typename Put>
+void AppendShardSections(std::vector<Section>& sections, std::string_view base,
+                         const Rows& rows, std::size_t shard_count, Put&& put) {
+  auto row = rows.begin();
+  std::size_t begin = 0;
+  for (std::size_t k = 0; k < shard_count; ++k) {
+    const std::size_t end = (k + 1) * rows.size() / shard_count;
+    ByteWriter body;
+    for (std::size_t i = begin; i < end; ++i, ++row) put(body, *row);
+    ByteWriter framed;
+    framed.Varint(end - begin);
+    framed.Bytes(std::move(body).Take());
+    sections.push_back({ShardSectionName(base, k), std::move(framed).Take()});
+    begin = end;
+  }
+}
+
+}  // namespace
+
+core::ClassifiedSubnets DecodeClassified(const SnapshotImage& image,
+                                         exec::Executor* executor) {
   std::uint64_t shard_count = 0;
   std::uint64_t want_ratios = 0;
   std::uint64_t want_cellular = 0;
   {
-    ByteReader r(manifest);
+    ByteReader r(image.Payload(kClassifiedShardsSection));
     shard_count = r.Varint();
     want_ratios = r.Varint();
     want_cellular = r.Varint();
@@ -660,8 +693,8 @@ core::ClassifiedSubnets DecodeClassifiedImpl(std::string_view manifest,
   // are captured per shard and rethrown after the join.
   std::vector<std::pair<std::string_view, std::string_view>> payloads(shard_count);
   for (std::size_t k = 0; k < shard_count; ++k) {
-    payloads[k] = {payload_of(ShardSectionName(kClassifiedRatiosSection, k)),
-                   payload_of(ShardSectionName(kClassifiedCellularSection, k))};
+    payloads[k] = {image.Payload(ShardSectionName(kClassifiedRatiosSection, k)),
+                   image.Payload(ShardSectionName(kClassifiedCellularSection, k))};
   }
   std::vector<ClassifiedFragment> fragments(shard_count);
   std::vector<std::string> shard_errors(shard_count);
@@ -695,39 +728,6 @@ core::ClassifiedSubnets DecodeClassifiedImpl(std::string_view manifest,
   return out;
 }
 
-/// Append the `shard_count` sections "<base>.<k>" of one row kind:
-/// shard k holds rows [k*n/shards, (k+1)*n/shards) of `rows` in
-/// iteration order — a contiguous even split, so concatenating the
-/// shards in index order is exactly the original row order. Each
-/// payload is a varint row count followed by the rows `put` writes.
-template <typename Rows, typename Put>
-void AppendShardSections(std::vector<Section>& sections, std::string_view base,
-                         const Rows& rows, std::size_t shard_count, Put&& put) {
-  auto row = rows.begin();
-  std::size_t begin = 0;
-  for (std::size_t k = 0; k < shard_count; ++k) {
-    const std::size_t end = (k + 1) * rows.size() / shard_count;
-    ByteWriter body;
-    for (std::size_t i = begin; i < end; ++i, ++row) put(body, *row);
-    ByteWriter framed;
-    framed.Varint(end - begin);
-    framed.Bytes(std::move(body).Take());
-    sections.push_back({ShardSectionName(base, k), std::move(framed).Take()});
-    begin = end;
-  }
-}
-
-}  // namespace
-
-core::ClassifiedSubnets DecodeClassified(const std::vector<Section>& sections) {
-  return DecodeClassifiedImpl(
-      FindSection(sections, kClassifiedShardsSection).payload,
-      [&](const std::string& name) -> std::string_view {
-        return FindSection(sections, name).payload;
-      },
-      nullptr);
-}
-
 std::vector<Section> EncodeClassified(const core::ClassifiedSubnets& classified) {
   return EncodeClassifiedSharded(classified, kClassifiedStoreShards);
 }
@@ -756,29 +756,14 @@ std::vector<Section> EncodeClassifiedSharded(const core::ClassifiedSubnets& clas
   return sections;
 }
 
-core::ClassifiedSubnets DecodeClassifiedMapped(const MappedSnapshot& snap,
-                                               exec::Executor* executor) {
-  return DecodeClassifiedImpl(
-      snap.SectionPayload(kClassifiedShardsSection),
-      [&](const std::string& name) { return snap.SectionPayload(name); }, executor);
-}
-
 std::vector<Section> EncodeRibLpm(const asdb::RoutingTable& rib) {
   return {{std::string(kLpmRibSection), rib.Flat().Encode()}};
 }
 
-asdb::RoutingTable::FlatRib DecodeRibLpm(std::string_view payload) {
+asdb::RoutingTable::FlatRib DecodeRibLpm(const SnapshotImage& image) {
   try {
-    return asdb::RoutingTable::FlatRib::Decode(payload);
-  } catch (const netaddr::FlatLpmError& e) {
-    Malformed(std::string(kLpmRibSection) + ": " + e.what());
-  }
-}
-
-asdb::RoutingTable::FlatRib ViewRibLpm(std::string_view payload,
-                                       std::shared_ptr<const void> keepalive) {
-  try {
-    return asdb::RoutingTable::FlatRib::View(payload, std::move(keepalive));
+    return asdb::RoutingTable::FlatRib::View(image.Payload(kLpmRibSection),
+                                             image.keepalive());
   } catch (const netaddr::FlatLpmError& e) {
     Malformed(std::string(kLpmRibSection) + ": " + e.what());
   }

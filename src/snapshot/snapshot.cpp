@@ -1,14 +1,43 @@
 #include "cellspot/snapshot/snapshot.hpp"
 
+#include <fcntl.h>
+#include <sys/mman.h>
+#include <sys/stat.h>
+#include <unistd.h>
+
+#include <algorithm>
+#include <cerrno>
+#include <cstring>
 #include <fstream>
 #include <iostream>
 #include <system_error>
+#include <utility>
 
 #include "cellspot/obs/metrics.hpp"
 #include "cellspot/snapshot/binary_io.hpp"
 #include "cellspot/util/retry.hpp"
 
 namespace cellspot::snapshot {
+
+namespace {
+
+[[noreturn]] void IoError(const std::filesystem::path& path, const std::string& what) {
+  throw SnapshotError("cannot read snapshot '" + path.string() + "': " + what,
+                      SnapshotErrorReason::kIo);
+}
+
+/// Owns a descriptor and closes it on every exit from ReadSnapshotFile.
+struct FdGuard {
+  explicit FdGuard(int descriptor) noexcept : fd(descriptor) {}
+  FdGuard(const FdGuard&) = delete;
+  FdGuard& operator=(const FdGuard&) = delete;
+  ~FdGuard() {
+    if (fd >= 0) ::close(fd);
+  }
+  const int fd;
+};
+
+}  // namespace
 
 std::string EncodeSnapshot(std::span<const Section> sections) {
   ByteWriter w;
@@ -24,7 +53,8 @@ std::string EncodeSnapshot(std::span<const Section> sections) {
   return std::move(w).Take();
 }
 
-std::vector<SectionView> DecodeSnapshotViews(std::string_view bytes) {
+SnapshotImage::SnapshotImage(std::shared_ptr<const void> keepalive, std::string_view bytes)
+    : keepalive_(std::move(keepalive)), bytes_(bytes) {
   if (bytes.size() < kSnapshotMagic.size()) {
     throw SnapshotError("snapshot shorter than its magic",
                         SnapshotErrorReason::kTruncated);
@@ -42,8 +72,9 @@ std::vector<SectionView> DecodeSnapshotViews(std::string_view bytes) {
                         SnapshotErrorReason::kVersionMismatch);
   }
   const std::uint64_t count = r.Varint();
-  std::vector<SectionView> sections;
-  sections.reserve(count);
+  // Every section takes at least 13 header bytes, so a forged count
+  // cannot reserve more than the image could hold.
+  sections_.reserve(std::min<std::uint64_t>(count, r.remaining() / 13));
   for (std::uint64_t i = 0; i < count; ++i) {
     SectionView s;
     s.name = r.String();
@@ -54,29 +85,23 @@ std::vector<SectionView> DecodeSnapshotViews(std::string_view bytes) {
       throw SnapshotError("section '" + std::string(s.name) + "' fails its CRC32 check",
                           SnapshotErrorReason::kChecksum);
     }
-    sections.push_back(s);
+    sections_.push_back(s);
   }
   r.ExpectEnd();
-  return sections;
 }
 
-std::vector<Section> DecodeSnapshot(std::string_view bytes) {
-  const std::vector<SectionView> views = DecodeSnapshotViews(bytes);
-  std::vector<Section> sections;
-  sections.reserve(views.size());
-  for (const SectionView& v : views) {
-    sections.push_back({std::string(v.name), std::string(v.payload)});
-  }
-  return sections;
-}
-
-const Section& FindSection(const std::vector<Section>& sections,
-                           std::string_view name) {
-  for (const Section& s : sections) {
-    if (s.name == name) return s;
+std::string_view SnapshotImage::Payload(std::string_view name) const {
+  for (const SectionView& s : sections_) {
+    if (s.name == name) return s.payload;
   }
   throw SnapshotError("snapshot is missing section '" + std::string(name) + "'",
                       SnapshotErrorReason::kMalformed);
+}
+
+SnapshotImage DecodeSnapshot(std::string_view bytes) {
+  auto owned = std::make_shared<const std::string>(bytes);
+  const std::string_view view = *owned;
+  return {std::move(owned), view};
 }
 
 void WriteSnapshotFile(const std::filesystem::path& path,
@@ -105,19 +130,26 @@ void WriteSnapshotFile(const std::filesystem::path& path,
   }
 }
 
-std::vector<Section> ReadSnapshotFile(const std::filesystem::path& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
-    throw SnapshotError("cannot open '" + path.string() + "'",
-                        SnapshotErrorReason::kIo);
+SnapshotImage ReadSnapshotFile(const std::filesystem::path& path) {
+  // O_NONBLOCK: opening a FIFO must not wait for a writer; the fstat
+  // below rejects it like any other non-regular file.
+  const FdGuard file{::open(path.c_str(), O_RDONLY | O_CLOEXEC | O_NONBLOCK)};
+  if (file.fd < 0) IoError(path, std::string("open: ") + std::strerror(errno));
+  struct stat st = {};
+  if (::fstat(file.fd, &st) != 0) {
+    IoError(path, std::string("stat: ") + std::strerror(errno));
   }
-  std::string bytes((std::istreambuf_iterator<char>(in)),
-                    std::istreambuf_iterator<char>());
-  if (in.bad()) {
-    throw SnapshotError("read error on '" + path.string() + "'",
-                        SnapshotErrorReason::kIo);
-  }
-  return DecodeSnapshot(bytes);
+  if (!S_ISREG(st.st_mode)) IoError(path, "not a regular file");
+  const auto len = static_cast<std::size_t>(st.st_size);
+  // mmap rejects length 0; validation reports the empty image as
+  // truncated, exactly as DecodeSnapshot("") does.
+  if (len == 0) return {nullptr, {}};
+  void* addr = ::mmap(nullptr, len, PROT_READ, MAP_PRIVATE, file.fd, 0);
+  if (addr == MAP_FAILED) IoError(path, std::string("mmap: ") + std::strerror(errno));
+  // The mapping outlives the descriptor; the keepalive's deleter unmaps.
+  std::shared_ptr<const void> mapping(
+      addr, [len](const void* p) { ::munmap(const_cast<void*>(p), len); });
+  return {std::move(mapping), std::string_view(static_cast<const char*>(addr), len)};
 }
 
 bool QuarantineSnapshotFile(const std::filesystem::path& path) noexcept {

@@ -3,11 +3,11 @@
 #include <iostream>
 #include <string>
 #include <system_error>
+#include <utility>
 #include <vector>
 
 #include "cellspot/obs/metrics.hpp"
 #include "cellspot/obs/trace.hpp"
-#include "cellspot/snapshot/mapped.hpp"
 #include "cellspot/snapshot/serde.hpp"
 #include "cellspot/snapshot/snapshot.hpp"
 #include "cellspot/util/retry.hpp"
@@ -38,35 +38,13 @@ std::string Hex16(std::uint64_t v) {
   return out;
 }
 
-/// Probe one snapshot file and decode it via `decode`. Absent files are
-/// quiet misses; anything corrupt is reported, counted by reason and
-/// quarantined so the next run does not trip over the same bytes.
-template <typename Artifact, typename Decode, typename Quarantine>
-std::optional<Artifact> TryLoad(const std::filesystem::path& path,
-                                std::string_view stage, Decode&& decode,
-                                Quarantine&& quarantine) {
-  auto& reg = obs::MetricsRegistry::Global();
-  std::error_code ec;
-  if (!std::filesystem::exists(path, ec) || ec) {
-    CountMiss("absent");
-    return std::nullopt;
-  }
-  obs::TraceSpan span("snapshot.load");
-  try {
-    std::vector<Section> sections = ReadSnapshotFile(path);
-    Artifact artifact = decode(sections);
-    reg.counter("snapshot.hit").Increment();
-    reg.counter("snapshot.bytes_read").Increment(ImageBytes(sections));
-    span.set_items(1);
-    return artifact;
-  } catch (const SnapshotError& e) {
-    CountMiss(SnapshotErrorReasonName(e.reason()));
-    const bool quarantined = quarantine(path);
-    std::cerr << "cellspot: discarding " << stage << " snapshot '" << path.string()
-              << "': " << e.what() << " [" << SnapshotErrorReasonName(e.reason())
-              << "]" << (quarantined ? "; quarantined as *.corrupt" : "") << "\n";
-    return std::nullopt;
-  }
+std::uint64_t WorldKey(const simnet::WorldConfig& config) {
+  return Fnv1a64(EncodeWorldConfig(config), 0xcbf29ce484222325ULL ^ kSnapshotFormatVersion);
+}
+
+std::filesystem::path EntryPath(const std::filesystem::path& dir, std::string_view stage,
+                                std::uint64_t key) {
+  return dir / (std::string(stage) + "." + Hex16(key) + ".snap");
 }
 
 /// Best-effort store; transient IO failures are retried (deterministic
@@ -126,32 +104,56 @@ StageCache::StageCache(std::filesystem::path dir) : dir_(std::move(dir)) {
   enabled_ = true;
 }
 
+template <typename Decode>
+auto StageCache::TryLoad(const std::filesystem::path& path, std::string_view stage,
+                         Decode decode) const {
+  using Artifact = decltype(decode(std::declval<const SnapshotImage&>()));
+  if (!enabled_) return std::optional<Artifact>();
+  std::error_code ec;
+  if (!std::filesystem::exists(path, ec) || ec) {
+    CountMiss("absent");
+    return std::optional<Artifact>();
+  }
+  obs::TraceSpan span("snapshot.load");
+  try {
+    const SnapshotImage image = ReadSnapshotFile(path);
+    std::optional<Artifact> artifact(decode(image));
+    auto& reg = obs::MetricsRegistry::Global();
+    reg.counter("snapshot.hit").Increment();
+    reg.counter("snapshot.bytes_read").Increment(image.size_bytes());
+    span.set_items(1);
+    return artifact;
+  } catch (const SnapshotError& e) {
+    CountMiss(SnapshotErrorReasonName(e.reason()));
+    const bool quarantined = Quarantine(path);
+    std::cerr << "cellspot: discarding " << stage << " snapshot '" << path.string()
+              << "': " << e.what() << " [" << SnapshotErrorReasonName(e.reason())
+              << "]" << (quarantined ? "; quarantined as *.corrupt" : "") << "\n";
+    return std::optional<Artifact>();
+  }
+}
+
 std::filesystem::path StageCache::WorldPath(const simnet::WorldConfig& config) const {
-  std::uint64_t key = Fnv1a64(EncodeWorldConfig(config),
-                              0xcbf29ce484222325ULL ^ kSnapshotFormatVersion);
-  return dir_ / ("world." + Hex16(key) + ".snap");
+  return EntryPath(dir_, "world", WorldKey(config));
 }
 
 std::filesystem::path StageCache::DatasetsPath(const simnet::WorldConfig& config) const {
-  std::uint64_t key = Fnv1a64(EncodeWorldConfig(config),
-                              0xcbf29ce484222325ULL ^ kSnapshotFormatVersion);
-  return dir_ / ("datasets." + Hex16(key) + ".snap");
+  return EntryPath(dir_, "datasets", WorldKey(config));
 }
 
 std::filesystem::path StageCache::ClassifiedPath(
     const simnet::WorldConfig& config, const core::ClassifierConfig& classifier) const {
-  std::uint64_t key = Fnv1a64(EncodeWorldConfig(config),
-                              0xcbf29ce484222325ULL ^ kSnapshotFormatVersion);
-  key = Fnv1a64(EncodeClassifierConfig(classifier), key);
-  return dir_ / ("classified." + Hex16(key) + ".snap");
+  return EntryPath(dir_, "classified",
+                   Fnv1a64(EncodeClassifierConfig(classifier), WorldKey(config)));
+}
+
+std::filesystem::path StageCache::LpmPath(const simnet::WorldConfig& config) const {
+  return EntryPath(dir_, "lpm", WorldKey(config));
 }
 
 std::optional<simnet::World> StageCache::TryLoadWorld(const simnet::WorldConfig& config) {
-  if (!enabled_) return std::nullopt;
-  return TryLoad<simnet::World>(
-      WorldPath(config), "world",
-      [](const std::vector<Section>& sections) { return DecodeWorld(sections); },
-      [this](const std::filesystem::path& p) { return Quarantine(p); });
+  return TryLoad(WorldPath(config), "world",
+                 [](const SnapshotImage& image) { return DecodeWorld(image); });
 }
 
 void StageCache::StoreWorld(const simnet::World& world) {
@@ -161,11 +163,8 @@ void StageCache::StoreWorld(const simnet::World& world) {
 
 std::optional<std::pair<dataset::BeaconDataset, dataset::DemandDataset>>
 StageCache::TryLoadDatasets(const simnet::WorldConfig& config) {
-  if (!enabled_) return std::nullopt;
-  return TryLoad<std::pair<dataset::BeaconDataset, dataset::DemandDataset>>(
-      DatasetsPath(config), "datasets",
-      [](const std::vector<Section>& sections) { return DecodeDatasets(sections); },
-      [this](const std::filesystem::path& p) { return Quarantine(p); });
+  return TryLoad(DatasetsPath(config), "datasets",
+                 [](const SnapshotImage& image) { return DecodeDatasets(image); });
 }
 
 void StageCache::StoreDatasets(const simnet::WorldConfig& config,
@@ -178,34 +177,10 @@ void StageCache::StoreDatasets(const simnet::WorldConfig& config,
 std::optional<core::ClassifiedSubnets> StageCache::TryLoadClassified(
     const simnet::WorldConfig& config, const core::ClassifierConfig& classifier,
     exec::Executor* executor) {
-  if (!enabled_) return std::nullopt;
-  const std::filesystem::path path = ClassifiedPath(config, classifier);
-  auto& reg = obs::MetricsRegistry::Global();
-  std::error_code ec;
-  if (!std::filesystem::exists(path, ec) || ec) {
-    CountMiss("absent");
-    return std::nullopt;
-  }
-  obs::TraceSpan span("snapshot.load");
-  try {
-    // Mapped rather than read: container validation runs once over the
-    // mapping and the per-shard sections decode in place — in parallel
-    // when an executor is given (the mapping is read-only; shards touch
-    // disjoint sections).
-    MappedSnapshot snap = MappedSnapshot::Open(path);
-    core::ClassifiedSubnets classified = DecodeClassifiedMapped(snap, executor);
-    reg.counter("snapshot.hit").Increment();
-    reg.counter("snapshot.bytes_read").Increment(snap.size_bytes());
-    span.set_items(1);
-    return classified;
-  } catch (const SnapshotError& e) {
-    CountMiss(SnapshotErrorReasonName(e.reason()));
-    const bool quarantined = Quarantine(path);
-    std::cerr << "cellspot: discarding classified snapshot '" << path.string()
-              << "': " << e.what() << " [" << SnapshotErrorReasonName(e.reason())
-              << "]" << (quarantined ? "; quarantined as *.corrupt" : "") << "\n";
-    return std::nullopt;
-  }
+  return TryLoad(ClassifiedPath(config, classifier), "classified",
+                 [executor](const SnapshotImage& image) {
+                   return DecodeClassified(image, executor);
+                 });
 }
 
 void StageCache::StoreClassified(const simnet::WorldConfig& config,
@@ -215,42 +190,10 @@ void StageCache::StoreClassified(const simnet::WorldConfig& config,
   TryStore(ClassifiedPath(config, classifier), "classified", EncodeClassified(classified));
 }
 
-std::filesystem::path StageCache::LpmPath(const simnet::WorldConfig& config) const {
-  std::uint64_t key = Fnv1a64(EncodeWorldConfig(config),
-                              0xcbf29ce484222325ULL ^ kSnapshotFormatVersion);
-  return dir_ / ("lpm." + Hex16(key) + ".snap");
-}
-
 std::optional<asdb::RoutingTable::FlatRib> StageCache::TryLoadLpm(
     const simnet::WorldConfig& config) {
-  if (!enabled_) return std::nullopt;
-  const std::filesystem::path path = LpmPath(config);
-  auto& reg = obs::MetricsRegistry::Global();
-  std::error_code ec;
-  if (!std::filesystem::exists(path, ec) || ec) {
-    CountMiss("absent");
-    return std::nullopt;
-  }
-  obs::TraceSpan span("snapshot.load");
-  try {
-    // Unlike the other entries this one is not read into memory:
-    // MappedSnapshot validates the container over the mapping and the
-    // engine views the payload in place, pinning the map via keepalive.
-    MappedSnapshot snap = MappedSnapshot::Open(path);
-    asdb::RoutingTable::FlatRib flat =
-        ViewRibLpm(snap.SectionPayload(kLpmRibSection), snap.keepalive());
-    reg.counter("snapshot.hit").Increment();
-    reg.counter("snapshot.bytes_read").Increment(flat.payload_bytes());
-    span.set_items(1);
-    return flat;
-  } catch (const SnapshotError& e) {
-    CountMiss(SnapshotErrorReasonName(e.reason()));
-    const bool quarantined = Quarantine(path);
-    std::cerr << "cellspot: discarding lpm snapshot '" << path.string()
-              << "': " << e.what() << " [" << SnapshotErrorReasonName(e.reason())
-              << "]" << (quarantined ? "; quarantined as *.corrupt" : "") << "\n";
-    return std::nullopt;
-  }
+  return TryLoad(LpmPath(config), "lpm",
+                 [](const SnapshotImage& image) { return DecodeRibLpm(image); });
 }
 
 void StageCache::StoreLpm(const simnet::WorldConfig& config,

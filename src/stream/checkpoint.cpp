@@ -113,8 +113,8 @@ std::optional<CheckpointStore::Loaded> CheckpointStore::LoadLatest() {
   auto& reg = obs::MetricsRegistry::Global();
   for (const std::filesystem::path& path : ListCheckpoints(dir_)) {
     try {
-      const std::vector<snapshot::Section> sections = snapshot::ReadSnapshotFile(path);
-      snapshot::ByteReader meta(snapshot::FindSection(sections, kMetaSection).payload);
+      const snapshot::SnapshotImage image = snapshot::ReadSnapshotFile(path);
+      snapshot::ByteReader meta(image.Payload(kMetaSection));
       Loaded loaded;
       loaded.tick = meta.Varint();
       const std::uint64_t hash = meta.U64();
@@ -125,7 +125,7 @@ std::optional<CheckpointStore::Loaded> CheckpointStore::LoadLatest() {
                   << "': written under a different configuration\n";
         continue;
       }
-      loaded.payload = snapshot::FindSection(sections, kStateSection).payload;
+      loaded.payload = std::string(image.Payload(kStateSection));
       reg.counter("stream.checkpoint.restored").Increment();
       return loaded;
     } catch (const snapshot::SnapshotError& e) {

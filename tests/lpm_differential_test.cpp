@@ -3,8 +3,8 @@
 // form — single, with-length, batch, exec-chunked at 1/2/8 threads —
 // must agree with the trie bit for bit. Also covers the payload
 // round-trip (Encode/Decode/View), the mmap-served snapshot path
-// (MappedSnapshot + StageCache lpm entry) and a corruption matrix over
-// the lpm snapshot file.
+// (ReadSnapshotFile + DecodeRibLpm, and the StageCache lpm entry) and a
+// corruption matrix over the lpm snapshot file.
 #include "cellspot/netaddr/flat_lpm.hpp"
 
 #include <gtest/gtest.h>
@@ -24,7 +24,6 @@
 #include "cellspot/faultsim/stream_corruptor.hpp"
 #include "cellspot/netaddr/prefix_trie.hpp"
 #include "cellspot/obs/metrics.hpp"
-#include "cellspot/snapshot/mapped.hpp"
 #include "cellspot/snapshot/serde.hpp"
 #include "cellspot/snapshot/snapshot.hpp"
 #include "cellspot/snapshot/stage_cache.hpp"
@@ -294,13 +293,12 @@ TEST(FlatLpmSnapshot, MmapServedEngineMatchesBuiltEngine) {
   util::Rng rng(12);
   std::vector<IpAddress> probes = ProbeSet(rng, {}, 2000);
 
-  // The engine keeps the mapping alive after the MappedSnapshot dies.
+  // The engine keeps the mapping alive after the image dies.
   asdb::RoutingTable::FlatRib viewed;
   {
-    auto snap = snapshot::MappedSnapshot::Open(path);
-    EXPECT_TRUE(snap.HasSection(snapshot::kLpmRibSection));
-    viewed = snapshot::ViewRibLpm(snap.SectionPayload(snapshot::kLpmRibSection),
-                                  snap.keepalive());
+    const snapshot::SnapshotImage image = snapshot::ReadSnapshotFile(path);
+    viewed = snapshot::DecodeRibLpm(image);
+    EXPECT_EQ(viewed.payload_bytes(), image.Payload(snapshot::kLpmRibSection).size());
   }
   EXPECT_TRUE(viewed.is_view());
   EXPECT_EQ(viewed.size(), rib.size());

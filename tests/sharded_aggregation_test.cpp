@@ -22,7 +22,6 @@
 #include "cellspot/exec/executor.hpp"
 #include "cellspot/faultsim/stream_corruptor.hpp"
 #include "cellspot/obs/metrics.hpp"
-#include "cellspot/snapshot/mapped.hpp"
 #include "cellspot/snapshot/serde.hpp"
 #include "cellspot/snapshot/snapshot.hpp"
 #include "cellspot/snapshot/stage_cache.hpp"
@@ -153,6 +152,11 @@ TEST(ShardedAggregation, RecordsShardSpansAndPoolGauges) {
 // ---------------------------------------------------------------------------
 // Per-shard classified snapshot sections.
 
+/// The in-memory image of `sections`, as a decoder sees it.
+snapshot::SnapshotImage Image(const std::vector<snapshot::Section>& sections) {
+  return snapshot::DecodeSnapshot(snapshot::EncodeSnapshot(sections));
+}
+
 TEST(ClassifiedShardedSnapshot, RoundTripsAtSeveralShardCounts) {
   const core::ClassifiedSubnets& classified = TinyExperiment().classified;
   const std::string canonical =
@@ -169,7 +173,7 @@ TEST(ClassifiedShardedSnapshot, RoundTripsAtSeveralShardCounts) {
     }
     EXPECT_TRUE(has_manifest) << k << " shards";
 
-    const core::ClassifiedSubnets decoded = snapshot::DecodeClassified(sections);
+    const core::ClassifiedSubnets decoded = snapshot::DecodeClassified(Image(sections));
     EXPECT_EQ(decoded.ratios(), classified.ratios()) << k << " shards";
     EXPECT_EQ(decoded.cellular(), classified.cellular()) << k << " shards";
     // Ordered concatenation preserved insertion order, so re-encoding
@@ -199,7 +203,7 @@ TEST(ClassifiedShardedSnapshot, TwoSectionLayoutIsRejectedAndRebuilt) {
   EXPECT_EQ(sections[0].name, "classified.ratios");
   EXPECT_EQ(sections[1].name, "classified.cellular");
   try {
-    (void)snapshot::DecodeClassified(sections);
+    (void)snapshot::DecodeClassified(Image(sections));
     ADD_FAILURE() << "two-section layout decoded";
   } catch (const snapshot::SnapshotError& e) {
     EXPECT_EQ(e.reason(), snapshot::SnapshotErrorReason::kMalformed) << e.what();
@@ -234,11 +238,10 @@ TEST(ClassifiedShardedSnapshot, MappedDecodeMatchesWithAndWithoutExecutor) {
   fs::remove(path);
   snapshot::WriteSnapshotFile(path, snapshot::EncodeClassifiedSharded(classified, 8));
 
-  const snapshot::MappedSnapshot snap = snapshot::MappedSnapshot::Open(path);
+  const snapshot::SnapshotImage image = snapshot::ReadSnapshotFile(path);
   exec::Executor ex(4);
-  const core::ClassifiedSubnets parallel = snapshot::DecodeClassifiedMapped(snap, &ex);
-  const core::ClassifiedSubnets sequential =
-      snapshot::DecodeClassifiedMapped(snap, nullptr);
+  const core::ClassifiedSubnets parallel = snapshot::DecodeClassified(image, &ex);
+  const core::ClassifiedSubnets sequential = snapshot::DecodeClassified(image);
   EXPECT_EQ(parallel.ratios(), classified.ratios());
   EXPECT_EQ(parallel.cellular(), classified.cellular());
   EXPECT_EQ(sequential.ratios(), classified.ratios());
@@ -270,7 +273,7 @@ TEST(ClassifiedShardedSnapshot, GarbledShardSectionIsRejectedNotCrashed) {
             << target << " seed " << seed;
       }
       ASSERT_TRUE(found) << target;
-      EXPECT_THROW((void)snapshot::DecodeClassified(damaged), snapshot::SnapshotError)
+      EXPECT_THROW((void)snapshot::DecodeClassified(Image(damaged)), snapshot::SnapshotError)
           << target << " seed " << seed;
     }
   }
@@ -283,7 +286,7 @@ TEST(ClassifiedShardedSnapshot, ShardCountOfZeroOrImplausibleIsMalformed) {
   for (snapshot::Section& s : sections) {
     if (s.name == snapshot::kClassifiedShardsSection) s.payload[0] = '\0';  // shards=0
   }
-  EXPECT_THROW((void)snapshot::DecodeClassified(sections), snapshot::SnapshotError);
+  EXPECT_THROW((void)snapshot::DecodeClassified(Image(sections)), snapshot::SnapshotError);
 }
 
 TEST(ClassifiedShardedCache, CorruptedShardSectionQuarantinesAndRebuilds) {
@@ -302,10 +305,10 @@ TEST(ClassifiedShardedCache, CorruptedShardSectionQuarantinesAndRebuilds) {
     cache.StoreClassified(config, {}, exp.classified);
     ASSERT_TRUE(fs::exists(path));
 
-    // Garble one shard section's payload and re-frame the container, so
-    // the file-level CRC is valid and the damage reaches the shard
-    // decoder itself.
-    std::vector<snapshot::Section> sections = snapshot::ReadSnapshotFile(path);
+    // Garble one shard section's payload of the stored layout and
+    // re-frame the container, so the file-level CRC is valid and the
+    // damage reaches the shard decoder itself.
+    std::vector<snapshot::Section> sections = snapshot::EncodeClassified(exp.classified);
     bool damaged = false;
     for (snapshot::Section& s : sections) {
       if (s.name != "classified.ratios.1") continue;

@@ -6,9 +6,11 @@
 #include "cellspot/snapshot/serde.hpp"
 
 #include <gtest/gtest.h>
+#include <sys/stat.h>
 
 #include <cstdint>
 #include <filesystem>
+#include <functional>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -88,24 +90,132 @@ TEST(ByteIo, TrailingBytesThrowMalformed) {
   }
 }
 
+SnapshotErrorReason ReasonOf(const std::function<void()>& body) {
+  try {
+    body();
+  } catch (const SnapshotError& e) {
+    return e.reason();
+  }
+  ADD_FAILURE() << "expected SnapshotError";
+  return SnapshotErrorReason::kIo;
+}
+
+TEST(ByteIo, BoolAcceptsOnlyZeroAndOne) {
+  const std::string bytes("\x00\x01\x02", 3);
+  ByteReader r(bytes);
+  EXPECT_FALSE(r.Bool());
+  EXPECT_TRUE(r.Bool());
+  EXPECT_EQ(ReasonOf([&] { (void)r.Bool(); }), SnapshotErrorReason::kMalformed);
+}
+
+TEST(ByteIo, VarintRejectsATenthByteAboveOne) {
+  // FF x9 then 01 is the writer's encoding of 2^64-1; 02 there would be
+  // bit 64, and a set continuation bit would start an eleventh byte.
+  const std::string max = std::string(9, '\xff') + '\x01';
+  ByteReader ok(max);
+  EXPECT_EQ(ok.Varint(), 0xFFFFFFFFFFFFFFFFull);
+  for (const char tenth : {'\x02', '\x7f', '\x81'}) {
+    const std::string bytes = std::string(9, '\xff') + tenth + '\x00';
+    ByteReader r(bytes);
+    EXPECT_EQ(ReasonOf([&] { (void)r.Varint(); }), SnapshotErrorReason::kMalformed)
+        << static_cast<int>(static_cast<unsigned char>(tenth));
+  }
+}
+
 TEST(Container, RoundtripsSectionsThroughFile) {
   const std::vector<Section> sections = {{"alpha", "payload-1"},
                                          {"beta", std::string("\0\n\xff raw", 7)}};
   const std::filesystem::path path =
       std::filesystem::path(::testing::TempDir()) / "container_roundtrip.snap";
   WriteSnapshotFile(path, sections);
-  const std::vector<Section> loaded = ReadSnapshotFile(path);
-  ASSERT_EQ(loaded.size(), 2u);
-  EXPECT_EQ(loaded[0].name, "alpha");
-  EXPECT_EQ(loaded[0].payload, "payload-1");
-  EXPECT_EQ(loaded[1].name, "beta");
-  EXPECT_EQ(loaded[1].payload, sections[1].payload);
-  EXPECT_EQ(FindSection(loaded, "beta").payload, sections[1].payload);
-  EXPECT_THROW((void)FindSection(loaded, "gamma"), SnapshotError);
+  for (const SnapshotImage& loaded :
+       {ReadSnapshotFile(path), DecodeSnapshot(EncodeSnapshot(sections))}) {
+    ASSERT_EQ(loaded.sections().size(), 2u);
+    EXPECT_EQ(loaded.sections()[0].name, "alpha");
+    EXPECT_EQ(loaded.sections()[0].payload, "payload-1");
+    EXPECT_EQ(loaded.sections()[1].name, "beta");
+    EXPECT_EQ(loaded.sections()[1].payload, sections[1].payload);
+    EXPECT_EQ(loaded.Payload("beta"), sections[1].payload);
+    EXPECT_EQ(loaded.size_bytes(), std::filesystem::file_size(path));
+    EXPECT_EQ(ReasonOf([&] { (void)loaded.Payload("gamma"); }),
+              SnapshotErrorReason::kMalformed);
+  }
   std::filesystem::remove(path);
 }
 
+TEST(Container, NonRegularFilesAreIoErrors) {
+  const std::filesystem::path dir =
+      std::filesystem::path(::testing::TempDir()) / "container_non_regular";
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  EXPECT_EQ(ReasonOf([&] { (void)ReadSnapshotFile(dir); }), SnapshotErrorReason::kIo);
+  // A FIFO would block a reader that waits for a writer; it must fail
+  // at once instead.
+  const std::filesystem::path fifo = dir / "fifo.snap";
+  ASSERT_EQ(::mkfifo(fifo.c_str(), 0600), 0);
+  EXPECT_EQ(ReasonOf([&] { (void)ReadSnapshotFile(fifo); }), SnapshotErrorReason::kIo);
+  EXPECT_EQ(ReasonOf([&] { (void)ReadSnapshotFile(dir / "absent.snap"); }),
+            SnapshotErrorReason::kIo);
+  std::filesystem::remove_all(dir);
+}
+
+TEST(Container, ImageViewsOutliveTheirProducerCall) {
+  // The views alias bytes the keepalive owns, not the caller's buffer.
+  std::string bytes = EncodeSnapshot(std::vector<Section>{{"alpha", "payload-1"}});
+  const SnapshotImage image = DecodeSnapshot(bytes);
+  bytes.assign(bytes.size(), 'x');
+  const SnapshotImage copy = image;
+  EXPECT_EQ(copy.Payload("alpha"), "payload-1");
+  EXPECT_EQ(copy.keepalive(), image.keepalive());
+}
+
+/// A datasets image whose one demand row is `block_bytes` (family,
+/// length, address), framed with valid CRCs so only the serde
+/// validation can object.
+std::string DemandImage(const std::string& block_bytes) {
+  ByteWriter beacon;
+  beacon.Varint(0);
+  ByteWriter demand;
+  demand.Varint(1);
+  demand.Bytes(block_bytes);
+  demand.F64(1.0);
+  demand.F64(1.0);
+  return EncodeSnapshot(std::vector<Section>{{"beacon.blocks", std::move(beacon).Take()},
+                                             {"demand.blocks", std::move(demand).Take()}});
+}
+
+TEST(SnapshotSerde, PrefixWithHostBitsSetIsMalformed) {
+  const std::string v4_net("\x04\x18\x0a\x00\x00\x00", 6);   // 10.0.0.0/24
+  const std::string v4_host("\x04\x18\x0a\x00\x00\x05", 6);  // 10.0.0.5/24
+  auto [beacons, demand] = DecodeDatasets(DecodeSnapshot(DemandImage(v4_net)));
+  EXPECT_EQ(demand.block_count(), 1u);
+  EXPECT_EQ(ReasonOf([&] { (void)DecodeDatasets(DecodeSnapshot(DemandImage(v4_host))); }),
+            SnapshotErrorReason::kMalformed);
+
+  std::string v6_host("\x06\x30", 2);  // 2001:db8::1/48
+  v6_host += std::string("\x20\x01\x0d\xb8", 4) + std::string(11, '\0') + '\x01';
+  EXPECT_EQ(ReasonOf([&] { (void)DecodeDatasets(DecodeSnapshot(DemandImage(v6_host))); }),
+            SnapshotErrorReason::kMalformed);
+}
+
 // ---- artifact roundtrips ---------------------------------------------------
+
+/// `sections` with the leading row count of section `name` replaced by
+/// `count`, re-framed so every CRC is valid.
+SnapshotImage WithRowCount(std::vector<Section> sections, std::string_view name,
+                           std::uint64_t count) {
+  for (Section& s : sections) {
+    if (s.name != name) continue;
+    ByteReader r(s.payload);
+    (void)r.Varint();
+    ByteWriter w;
+    w.Varint(count);
+    w.Bytes(s.payload.substr(s.payload.size() - r.remaining()));
+    s.payload = std::move(w).Take();
+  }
+  return DecodeSnapshot(EncodeSnapshot(sections));
+}
+
 
 struct Artifacts {
   simnet::World world;
@@ -172,6 +282,26 @@ TEST_P(SnapshotRoundtrip, SaveLoadReencodeIsByteIdentical) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Threads, SnapshotRoundtrip, ::testing::Values(1u, 2u, 8u));
+
+TEST(SnapshotSerde, ForgedRowCountsFailAsShortReads) {
+  // A count no payload could hold, behind valid CRCs: the decoder must
+  // run out of bytes, not size a container by the count.
+  const Artifacts a = Build(1);
+  for (const std::uint64_t count : {std::uint64_t{1} << 40, std::uint64_t{1} << 62}) {
+    for (const char* name : {"world.subnets", "world.operators", "world.carriers"}) {
+      EXPECT_EQ(ReasonOf([&] { (void)DecodeWorld(WithRowCount(EncodeWorld(a.world), name, count)); }),
+                SnapshotErrorReason::kTruncated)
+          << name;
+    }
+    for (const char* name : {"classified.ratios.3", "classified.cellular.5"}) {
+      EXPECT_EQ(ReasonOf([&] {
+                  (void)DecodeClassified(WithRowCount(EncodeClassified(a.classified), name, count));
+                }),
+                SnapshotErrorReason::kMalformed)
+          << name;
+    }
+  }
+}
 
 TEST(SnapshotRoundtrip, ImageIsIdenticalAtAnyThreadCount) {
   const Artifacts a1 = Build(1);

@@ -9,7 +9,7 @@
 #                            # gates sharded_aggregation against its committed
 #                            # trajectory (--update-baseline blesses a new one)
 #   tools/ci.sh shard        # sharded aggregation engine, ASan then TSan
-#   tools/ci.sh snapshot     # snapshot roundtrip + corruption tests under ASan
+#   tools/ci.sh snapshot     # snapshot readers under ASan, query source under TSan
 #   tools/ci.sh stream-chaos # streaming chaos harness under ASan and TSan
 #   tools/ci.sh query        # columnar query engine tests under ASan
 #   tools/ci.sh lpm          # flat LPM engine differential + consumers, ASan then TSan
@@ -261,17 +261,25 @@ stream_queue_test"
 }
 
 # The snapshot format and stage cache under ASan+UBSan: binary
-# roundtrips, the corruption-fallback matrix, and the warm-cache
-# pipeline path — the code most exposed to hostile bytes.
+# roundtrips, the corruption-fallback matrix, the warm-cache pipeline
+# path, and the other readers of the mapped image (stream checkpoints,
+# the query source) — the code most exposed to hostile bytes. Then the
+# query source under TSan with a forced multi-worker pool, since it
+# decodes classified shards on its executor.
 run_snapshot() {
+  local targets="snapshot_roundtrip_test snapshot_corruption_test snapshot_cache_test \
+util_parse_test stream_checkpoint_test query_engine_test"
   local dir="build-asan"
   cmake -B "$dir" -S . -DCELLSPOT_SANITIZE=address
-  cmake --build "$dir" -j "$jobs" --target \
-    snapshot_roundtrip_test snapshot_corruption_test snapshot_cache_test util_parse_test
-  "$dir/tests/snapshot_roundtrip_test"
-  "$dir/tests/snapshot_corruption_test"
-  "$dir/tests/snapshot_cache_test"
-  "$dir/tests/util_parse_test"
+  # shellcheck disable=SC2086
+  cmake --build "$dir" -j "$jobs" --target $targets
+  for t in $targets; do "$dir/tests/$t"; done
+
+  dir="build-tsan"
+  cmake -B "$dir" -S . -DCELLSPOT_SANITIZE=thread
+  cmake --build "$dir" -j "$jobs" --target query_engine_test
+  local tsan_opts="suppressions=$PWD/tools/tsan.supp halt_on_error=1"
+  TSAN_OPTIONS="$tsan_opts" CELLSPOT_THREADS=4 "$dir/tests/query_engine_test"
 }
 
 # The streaming daemon's chaos harness under both sanitizers. The gtest
