@@ -1,5 +1,7 @@
 #include "cellspot/netaddr/prefix.hpp"
 
+#include <algorithm>
+#include <array>
 #include <stdexcept>
 
 #include "cellspot/util/error.hpp"
@@ -9,10 +11,22 @@ namespace cellspot::netaddr {
 
 namespace {
 
+/// Clears the host bits past `length` (0 <= length <= bit_width()):
+/// one 32-bit mask for v4; for v6 the byte holding the boundary keeps
+/// its top length % 8 bits and every later byte is zeroed.
 IpAddress MaskAddress(const IpAddress& addr, int length) {
-  IpAddress out = addr;
-  for (int i = length; i < addr.bit_width(); ++i) out = out.WithBit(i, false);
-  return out;
+  if (addr.is_v4()) {
+    const std::uint32_t mask = length == 0 ? 0U : ~std::uint32_t{0} << (32 - length);
+    return IpAddress::V4(addr.v4_value() & mask);
+  }
+  std::array<std::uint8_t, 16> bytes = addr.bytes();
+  const auto boundary = static_cast<std::size_t>(length / 8);
+  if (boundary < bytes.size()) {
+    bytes[boundary] &= static_cast<std::uint8_t>(0xFF00U >> (length % 8));
+    std::fill(bytes.begin() + static_cast<std::ptrdiff_t>(boundary) + 1, bytes.end(),
+              std::uint8_t{0});
+  }
+  return IpAddress::V6(bytes);
 }
 
 }  // namespace

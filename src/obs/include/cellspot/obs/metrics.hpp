@@ -82,7 +82,8 @@ class LatencyHistogram {
   /// 0 when no samples were recorded.
   [[nodiscard]] double min_ms() const noexcept;
   [[nodiscard]] double max_ms() const noexcept;
-  /// Bucket-interpolated quantile estimate in ms, q in [0, 1]; 0 when empty.
+  /// Bucket-interpolated quantile estimate in ms, q in [0, 1], clamped
+  /// to [min_ms(), max_ms()]; 0 when empty.
   [[nodiscard]] double ApproxQuantileMs(double q) const noexcept;
   [[nodiscard]] std::uint64_t bucket(std::size_t i) const noexcept {
     return i < kBuckets ? buckets_[i].load(std::memory_order_relaxed) : 0;

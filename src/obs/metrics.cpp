@@ -78,7 +78,11 @@ double LatencyHistogram::ApproxQuantileMs(double q) const noexcept {
     if (cum + in_bucket >= target) {
       const double frac = in_bucket > 0.0 ? (target - cum) / in_bucket : 0.0;
       const double us = BucketLoUs(i) + (BucketHiUs(i) - BucketLoUs(i)) * frac;
-      return us / 1000.0;
+      // The bucket can reach past the recorded samples (one 489.8 ms
+      // sample interpolates to 393 ms in [262, 524) ms), so clamp to
+      // [min, max]; min/max rather than std::clamp, because a racing
+      // Record can publish its min before its max.
+      return std::min(std::max(us / 1000.0, min_ms()), max_ms());
     }
     cum += in_bucket;
   }

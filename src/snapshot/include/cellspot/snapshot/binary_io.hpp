@@ -14,7 +14,9 @@
 
 namespace cellspot::snapshot {
 
-/// CRC-32 (IEEE, reflected polynomial 0xEDB88320) over `data`.
+/// CRC-32 (IEEE, reflected polynomial 0xEDB88320) over `data`, folded
+/// eight bytes per step (slicing-by-8); the value is the classic
+/// byte-at-a-time CRC's.
 [[nodiscard]] std::uint32_t Crc32(std::string_view data) noexcept;
 
 /// Append-only encoder over a byte buffer.

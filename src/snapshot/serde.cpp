@@ -119,6 +119,8 @@ struct Access {
   static void SetDemandTotal(dataset::DemandDataset& d, double total) {
     d.total_ = total;
   }
+  static void Reserve(dataset::BeaconDataset& d, std::size_t rows) { d.blocks_.reserve(rows); }
+  static void Reserve(dataset::DemandDataset& d, std::size_t rows) { d.blocks_.reserve(rows); }
   static util::StableMap<netaddr::Prefix, double>& Ratios(core::ClassifiedSubnets& c) {
     return c.ratios_;
   }
@@ -524,6 +526,8 @@ std::pair<dataset::BeaconDataset, dataset::DemandDataset> DecodeDatasets(
   {
     ByteReader r(image.Payload(kBeaconBlocksSection));
     const std::uint64_t count = r.Varint();
+    // Smallest row: family, length, 4 address bytes, seven 1-byte varints.
+    Access::Reserve(beacons, RowCapacity(r, count, 13));
     for (std::uint64_t i = 0; i < count; ++i) {
       const netaddr::Prefix block = GetPrefix(r);
       dataset::BeaconBlockStats s;
@@ -548,6 +552,8 @@ std::pair<dataset::BeaconDataset, dataset::DemandDataset> DecodeDatasets(
   {
     ByteReader r(image.Payload(kDemandBlocksSection));
     const std::uint64_t count = r.Varint();
+    // Smallest row: family, length, 4 address bytes, one f64.
+    Access::Reserve(demand, RowCapacity(r, count, 14));
     for (std::uint64_t i = 0; i < count; ++i) {
       const netaddr::Prefix block = GetPrefix(r);
       const double du = GetFiniteF64(r, "demand du");

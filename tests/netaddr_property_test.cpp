@@ -7,6 +7,7 @@
 
 #include "cellspot/netaddr/prefix_trie.hpp"
 #include "cellspot/util/rng.hpp"
+#include "support/reference_prefix_mask.hpp"
 
 namespace cellspot::netaddr {
 namespace {
@@ -47,6 +48,46 @@ TEST_P(NetaddrProperty, PrefixCanonicalAndTextRoundTrip) {
     // Host bits beyond the length are zero.
     for (int bit = length; bit < p.address().bit_width(); ++bit) {
       EXPECT_FALSE(p.address().GetBit(bit));
+    }
+  }
+}
+
+// The constructor's word/byte mask against the per-bit reference, at
+// every length of both families. Every address has its last bit set, so
+// each length below the family width has host bits to clear.
+TEST_P(NetaddrProperty, MaskMatchesPerBitReferenceAtEveryLength) {
+  util::Rng rng(GetParam());
+  std::vector<IpAddress> addrs;
+  for (int i = 0; i < 8; ++i) {
+    addrs.push_back(IpAddress::V4(
+        static_cast<std::uint32_t>(rng.UniformInt(0, 0xFFFFFFFFULL)) | 1U));
+    std::array<std::uint8_t, 16> bytes{};
+    for (auto& b : bytes) b = static_cast<std::uint8_t>(rng.UniformInt(0, 255));
+    bytes[15] |= 1U;
+    addrs.push_back(IpAddress::V6(bytes));
+  }
+  const std::size_t built = addrs.size();
+  for (std::size_t i = 0; i < built; ++i) {
+    addrs.push_back(IpAddress::Parse(addrs[i].ToString()));
+  }
+  for (const IpAddress zero : {IpAddress::V4(0), IpAddress::V6({})}) {
+    for (int i = 0; i < 8; ++i) {
+      IpAddress addr = zero.WithBit(zero.bit_width() - 1, true);
+      for (int b = 0; b < zero.bit_width(); ++b) {
+        if (rng.Chance(0.5)) addr = addr.WithBit(b, true);
+      }
+      addrs.push_back(addr);
+    }
+  }
+
+  for (const IpAddress& addr : addrs) {
+    for (int length = 0; length <= addr.bit_width(); ++length) {
+      const Prefix p(addr, length);
+      EXPECT_EQ(p.address(), test_support::MaskAddressPerBit(addr, length))
+          << addr.ToString() << "/" << length;
+      EXPECT_EQ(p.length(), length);
+      EXPECT_EQ(p.address() == addr, length == addr.bit_width())
+          << addr.ToString() << "/" << length;
     }
   }
 }

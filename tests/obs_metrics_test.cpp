@@ -64,6 +64,18 @@ TEST(LatencyHistogram, EmptyQuantilesAreZero) {
   EXPECT_DOUBLE_EQ(h.max_ms(), 0.0);
 }
 
+TEST(LatencyHistogram, SingleSampleQuantilesEqualTheSample) {
+  // 489.8 ms falls in the [262.144, 524.288) ms bucket; interpolating
+  // inside it alone would put p50 at 393 ms, below the only sample.
+  obs::LatencyHistogram h;
+  h.Record(489.8);
+  EXPECT_DOUBLE_EQ(h.min_ms(), 489.8);
+  EXPECT_DOUBLE_EQ(h.max_ms(), 489.8);
+  for (const double q : {0.0, 0.5, 0.9, 0.99, 1.0}) {
+    EXPECT_DOUBLE_EQ(h.ApproxQuantileMs(q), 489.8) << "q=" << q;
+  }
+}
+
 TEST(MetricsRegistry, FindOrCreateReturnsSameHandle) {
   MetricsRegistry reg;
   obs::Counter& a = reg.counter("test.counter");

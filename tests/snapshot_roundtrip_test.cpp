@@ -22,6 +22,8 @@
 #include "cellspot/exec/executor.hpp"
 #include "cellspot/snapshot/binary_io.hpp"
 #include "cellspot/snapshot/snapshot.hpp"
+#include "cellspot/util/rng.hpp"
+#include "support/reference_crc32.hpp"
 
 namespace cellspot::snapshot {
 namespace {
@@ -31,6 +33,31 @@ namespace {
 TEST(Crc32, MatchesIeeeReferenceVector) {
   EXPECT_EQ(Crc32("123456789"), 0xCBF43926u);
   EXPECT_EQ(Crc32(""), 0u);
+}
+
+std::string RandomBytes(std::uint64_t seed, std::size_t n) {
+  util::Rng rng(seed);
+  std::string out(n, '\0');
+  for (char& c : out) c = static_cast<char>(rng.UniformInt(0, 255));
+  return out;
+}
+
+// Lengths 0-64 cover zero, one and eight 8-byte steps with every tail
+// length; starts 0-7 put the first step at every alignment.
+TEST(Crc32, MatchesBytewiseReferenceAtEveryLengthAndAlignment) {
+  const std::string buffer = RandomBytes(20161224, 7 + 64);
+  for (std::size_t start = 0; start < 8; ++start) {
+    for (std::size_t length = 0; length <= 64; ++length) {
+      const std::string_view slice = std::string_view(buffer).substr(start, length);
+      EXPECT_EQ(Crc32(slice), test_support::Crc32Bytewise(slice))
+          << "start " << start << ", length " << length;
+    }
+  }
+}
+
+TEST(Crc32, MatchesBytewiseReferenceOnAMebibytePlusATail) {
+  const std::string buffer = RandomBytes(42, (std::size_t{1} << 20) + 3);
+  EXPECT_EQ(Crc32(buffer), test_support::Crc32Bytewise(buffer));
 }
 
 TEST(ByteIo, RoundtripsEveryFieldType) {
@@ -298,6 +325,18 @@ TEST(SnapshotSerde, ForgedRowCountsFailAsShortReads) {
                   (void)DecodeClassified(WithRowCount(EncodeClassified(a.classified), name, count));
                 }),
                 SnapshotErrorReason::kMalformed)
+          << name;
+    }
+    // Past the real rows, the demand decoder reads the trailing f64
+    // total as a row, whose first byte is no address family.
+    for (const auto& [name, reason] :
+         {std::pair{"beacon.blocks", SnapshotErrorReason::kTruncated},
+          std::pair{"demand.blocks", SnapshotErrorReason::kMalformed}}) {
+      EXPECT_EQ(ReasonOf([&] {
+                  (void)DecodeDatasets(
+                      WithRowCount(EncodeDatasets(a.beacons, a.demand), name, count));
+                }),
+                reason)
           << name;
     }
   }

@@ -186,8 +186,9 @@ run_query() {
 
 # The flat LPM engine end to end: the differential suite (FlatLpm vs
 # PrefixTrie on seeded random sets, the mmap-served snapshot section,
-# the corruption matrix) plus every lookup-path consumer under
-# ASan+UBSan, then the same differential suite and the pipeline
+# the corruption matrix), every lookup-path consumer and the netaddr
+# suites under ASan+UBSan (UBSan checks each prefix-mask shift at /0,
+# /32 and /128), then the same differential suite and the pipeline
 # determinism matrix under TSan with a forced multi-worker pool, so the
 # chunked batch seam and the RoutingTable's lazily published engine are
 # exercised with real interleavings.
@@ -195,10 +196,14 @@ run_lpm() {
   local dir="build-asan"
   cmake -B "$dir" -S . -DCELLSPOT_SANITIZE=address
   cmake --build "$dir" -j "$jobs" --target \
-    lpm_differential_test netaddr_prefix_trie_test core_cellular_map_test \
+    lpm_differential_test netaddr_prefix_trie_test netaddr_prefix_test \
+    netaddr_property_test netaddr_ip_address_test core_cellular_map_test \
     asdb_test snapshot_cache_test
   "$dir/tests/lpm_differential_test"
   "$dir/tests/netaddr_prefix_trie_test"
+  "$dir/tests/netaddr_prefix_test"
+  "$dir/tests/netaddr_property_test"
+  "$dir/tests/netaddr_ip_address_test"
   "$dir/tests/core_cellular_map_test"
   "$dir/tests/asdb_test"
   "$dir/tests/snapshot_cache_test"
