@@ -32,19 +32,17 @@ std::string_view OperatorKindName(OperatorKind k) noexcept {
 
 void AsDatabase::Upsert(AsRecord record) {
   if (record.asn == 0) throw std::invalid_argument("AsDatabase::Upsert: asn 0 is reserved");
-  const auto it = index_.find(record.asn);
-  if (it != index_.end()) {
-    records_[it->second] = std::move(record);
-    return;
+  const auto [pos, inserted] = index_.Insert(record.asn, records_.size(), AsnAt());
+  if (inserted) {
+    records_.push_back(std::move(record));
+  } else {
+    records_[pos] = std::move(record);
   }
-  index_.emplace(record.asn, records_.size());
-  records_.push_back(std::move(record));
 }
 
 const AsRecord* AsDatabase::Find(AsNumber asn) const noexcept {
-  const auto it = index_.find(asn);
-  if (it == index_.end()) return nullptr;
-  return &records_[it->second];
+  const std::size_t pos = index_.Find(asn, AsnAt());
+  return pos == index_.npos ? nullptr : &records_[pos];
 }
 
 RoutingTable::RoutingTable(const RoutingTable& other)

@@ -16,6 +16,7 @@
 #include "cellspot/netaddr/prefix.hpp"
 #include "cellspot/netaddr/prefix_trie.hpp"
 #include "cellspot/util/ordered_mutex.hpp"
+#include "cellspot/util/stable_map.hpp"
 
 namespace cellspot::asdb {
 
@@ -33,8 +34,12 @@ class AsDatabase {
   [[nodiscard]] std::span<const AsRecord> records() const noexcept { return records_; }
 
  private:
+  [[nodiscard]] auto AsnAt() const noexcept {
+    return [this](std::size_t i) { return records_[i].asn; };
+  }
+
   std::vector<AsRecord> records_;
-  std::unordered_map<AsNumber, std::size_t> index_;
+  util::PositionIndex<AsNumber> index_;  // positions in records_
 };
 
 /// Announced-prefix table with longest-prefix-match origin lookup.

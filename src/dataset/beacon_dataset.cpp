@@ -1,5 +1,6 @@
 #include "cellspot/dataset/beacon_dataset.hpp"
 
+#include <initializer_list>
 #include <istream>
 #include <ostream>
 #include <stdexcept>
@@ -15,6 +16,16 @@ namespace {
 constexpr std::string_view kBeaconCsvHeader =
     "block,hits,netinfo_hits,cellular,wifi,ethernet,other,mobile_browser";
 }  // namespace
+
+bool BeaconBlockStats::IsConsistent() const noexcept {
+  if (netinfo_hits > hits || mobile_browser_hits > hits) return false;
+  std::uint64_t unlabelled = netinfo_hits;
+  for (const std::uint64_t labels : {cellular_labels, wifi_labels, ethernet_labels, other_labels}) {
+    if (labels > unlabelled) return false;
+    unlabelled -= labels;
+  }
+  return true;
+}
 
 BeaconBlockStats& BeaconBlockStats::operator+=(const BeaconBlockStats& other) noexcept {
   hits += other.hits;
@@ -32,9 +43,7 @@ void BeaconDataset::Add(const netaddr::Prefix& block, const BeaconBlockStats& st
     throw std::invalid_argument("BeaconDataset::Add: not a /24 or /48 block: " +
                                 block.ToString());
   }
-  if (stats.netinfo_hits > stats.hits || stats.mobile_browser_hits > stats.hits ||
-      stats.cellular_labels + stats.wifi_labels + stats.ethernet_labels +
-              stats.other_labels > stats.netinfo_hits) {
+  if (!stats.IsConsistent()) {
     throw std::invalid_argument("BeaconDataset::Add: inconsistent stats for " +
                                 block.ToString());
   }

@@ -43,6 +43,11 @@ struct BeaconBlockStats {
                     : 0.0;
   }
 
+  /// The invariants every producer keeps: API and mobile-browser hits
+  /// are subsets of all hits, and the labels partition at most the API
+  /// hits (checked without summing, so forged counts cannot wrap).
+  [[nodiscard]] bool IsConsistent() const noexcept;
+
   BeaconBlockStats& operator+=(const BeaconBlockStats& other) noexcept;
 };
 

@@ -9,6 +9,7 @@
 #include <array>
 #include <compare>
 #include <cstdint>
+#include <cstring>
 #include <functional>
 #include <optional>
 #include <string>
@@ -100,15 +101,16 @@ class IpAddress {
 
 template <>
 struct std::hash<cellspot::netaddr::IpAddress> {
+  /// Two 64-bit word loads plus the family, not mixed further: the
+  /// consumer (util::PositionIndex) finalises. Never persisted, so the
+  /// host byte order of the loads does not matter.
   std::size_t operator()(const cellspot::netaddr::IpAddress& a) const noexcept {
-    // FNV-1a over family + bytes.
-    std::size_t h = 14695981039346656037ULL;
-    auto mix = [&h](std::uint8_t b) {
-      h ^= b;
-      h *= 1099511628211ULL;
-    };
-    mix(static_cast<std::uint8_t>(a.family()));
-    for (std::uint8_t b : a.bytes()) mix(b);
-    return h;
+    std::uint64_t hi = 0;
+    std::uint64_t lo = 0;
+    std::memcpy(&hi, a.bytes().data(), sizeof hi);
+    std::memcpy(&lo, a.bytes().data() + sizeof hi, sizeof lo);
+    return static_cast<std::size_t>(
+        hi ^ (lo * 0x9E3779B97F4A7C15ULL) ^
+        (static_cast<std::uint64_t>(static_cast<std::uint8_t>(a.family())) << 56));
   }
 };

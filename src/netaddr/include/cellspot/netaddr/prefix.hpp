@@ -83,7 +83,7 @@ inline constexpr int kIpv6BlockBits = 48;
 template <>
 struct std::hash<cellspot::netaddr::Prefix> {
   std::size_t operator()(const cellspot::netaddr::Prefix& p) const noexcept {
-    return std::hash<cellspot::netaddr::IpAddress>{}(p.address()) * 31U +
-           static_cast<std::size_t>(p.length());
+    return std::hash<cellspot::netaddr::IpAddress>{}(p.address()) ^
+           (static_cast<std::size_t>(p.length()) << 48);
   }
 };

@@ -11,12 +11,12 @@
 #include <cstdint>
 #include <span>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "cellspot/asdb/as_database.hpp"
 #include "cellspot/netaddr/prefix.hpp"
 #include "cellspot/simnet/world_config.hpp"
+#include "cellspot/util/stable_map.hpp"
 
 namespace cellspot::exec {
 class Executor;
@@ -114,9 +114,16 @@ class World {
   asdb::RoutingTable rib_;
   std::vector<Subnet> subnets_;
   std::vector<OperatorInfo> operators_;
-  std::unordered_map<asdb::AsNumber, std::size_t> op_index_;
-  std::unordered_map<netaddr::Prefix, std::uint32_t> block_index_;
+  util::PositionIndex<asdb::AsNumber> op_index_;       // positions in operators_
+  util::PositionIndex<netaddr::Prefix> block_index_;  // positions in subnets_
   std::vector<Carrier> carriers_;
+
+  [[nodiscard]] auto AsnAt() const noexcept {
+    return [this](std::size_t i) { return operators_[i].asn; };
+  }
+  [[nodiscard]] auto BlockAt() const noexcept {
+    return [this](std::size_t i) -> const netaddr::Prefix& { return subnets_[i].block; };
+  }
 
   friend class WorldBuilder;
   friend struct snapshot::Access;  // binary snapshot serde (src/snapshot)

@@ -420,7 +420,7 @@ class WorldBuilder {
       so.op.asn = next_asn_;
       so.record.asn = next_asn_;
       world_.as_db_.Upsert(std::move(so.record));
-      world_.op_index_.emplace(so.op.asn, world_.operators_.size());
+      world_.op_index_.Insert(so.op.asn, world_.operators_.size(), world_.AsnAt());
       OperatorInfo op = so.op;
       op.subnet_begin += subnet_base;
       op.subnet_end += subnet_base;
@@ -854,7 +854,7 @@ class WorldBuilder {
 
     auto label = [&](const OperatorInfo* op, char tag) {
       if (op == nullptr) return;
-      const std::size_t idx = world_.op_index_.at(op->asn);
+      const std::size_t idx = world_.op_index_.Find(op->asn, world_.AsnAt());
       world_.operators_[idx].validation_label = tag;
       world_.carriers_.push_back({op->asn, tag});
     };
@@ -893,7 +893,7 @@ class WorldBuilder {
     world_.as_db_.Upsert(std::move(record));
 
     const std::size_t id = world_.operators_.size();
-    world_.op_index_.emplace(op.asn, id);
+    world_.op_index_.Insert(op.asn, id, world_.AsnAt());
     op.subnet_begin = static_cast<std::uint32_t>(world_.subnets_.size());
     op.subnet_end = op.subnet_begin;
     world_.operators_.push_back(std::move(op));
@@ -974,7 +974,7 @@ class WorldBuilder {
   void BuildIndexes() {
     world_.block_index_.reserve(world_.subnets_.size());
     for (std::uint32_t i = 0; i < world_.subnets_.size(); ++i) {
-      world_.block_index_.emplace(world_.subnets_[i].block, i);
+      world_.block_index_.Insert(world_.subnets_[i].block, i, world_.BlockAt());
     }
   }
 
@@ -996,9 +996,8 @@ World World::Generate(const WorldConfig& config, exec::Executor& executor) {
 }
 
 const OperatorInfo* World::FindOperator(asdb::AsNumber asn) const noexcept {
-  const auto it = op_index_.find(asn);
-  if (it == op_index_.end()) return nullptr;
-  return &operators_[it->second];
+  const std::size_t i = op_index_.Find(asn, AsnAt());
+  return i == op_index_.npos ? nullptr : &operators_[i];
 }
 
 std::span<const Subnet> World::SubnetsOf(const OperatorInfo& op) const {
@@ -1007,9 +1006,8 @@ std::span<const Subnet> World::SubnetsOf(const OperatorInfo& op) const {
 }
 
 const Subnet* World::FindSubnet(const netaddr::Prefix& block) const noexcept {
-  const auto it = block_index_.find(block);
-  if (it == block_index_.end()) return nullptr;
-  return &subnets_[it->second];
+  const std::size_t i = block_index_.Find(block, BlockAt());
+  return i == block_index_.npos ? nullptr : &subnets_[i];
 }
 
 const CountryProfile* World::CountryOf(const Subnet& s) const noexcept {

@@ -23,7 +23,9 @@
 // file is quarantined in place (renamed '*.corrupt') and the caller
 // regenerates. A hit counts 'snapshot.hit' and adds the file's size to
 // 'snapshot.bytes_read'. Saves are best-effort: failures are counted
-// ('snapshot.save_error') and swallowed. The cache never throws.
+// ('snapshot.save_error') and swallowed. The cache never throws. Each
+// load and save is one 'snapshot.load.<stage>' / 'snapshot.save.<stage>'
+// trace span whose items are the bytes read or written.
 #pragma once
 
 #include <cstdint>

@@ -447,7 +447,7 @@ simnet::World Access::DecodeWorld(const SnapshotImage& image) {
                   std::to_string(op.subnet_end) + ") outside " +
                   std::to_string(world.subnets_.size()) + " subnets");
       }
-      world.op_index_.emplace(op.asn, world.operators_.size());
+      world.op_index_.Insert(op.asn, world.operators_.size(), world.AsnAt());
       world.operators_.push_back(std::move(op));
     }
     r.ExpectEnd();
@@ -470,8 +470,8 @@ simnet::World Access::DecodeWorld(const SnapshotImage& image) {
   }
 
   world.block_index_.reserve(world.subnets_.size());
-  for (std::uint32_t i = 0; i < world.subnets_.size(); ++i) {
-    world.block_index_.emplace(world.subnets_[i].block, i);
+  for (std::size_t i = 0; i < world.subnets_.size(); ++i) {
+    world.block_index_.Insert(world.subnets_[i].block, i, world.BlockAt());
   }
   if (world.block_index_.size() != world.subnets_.size()) {
     Malformed("duplicate subnet blocks");

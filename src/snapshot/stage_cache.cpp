@@ -52,7 +52,7 @@ std::filesystem::path EntryPath(const std::filesystem::path& dir, std::string_vi
 void TryStore(const std::filesystem::path& path, std::string_view stage,
               std::span<const Section> sections) {
   auto& reg = obs::MetricsRegistry::Global();
-  obs::TraceSpan span("snapshot.save");
+  obs::TraceSpan span("snapshot.save." + std::string(stage));
   std::string last_error;
   const util::RetryOutcome outcome =
       util::RetryCall(util::RetryPolicy{.max_attempts = 3}, [&] {
@@ -68,8 +68,9 @@ void TryStore(const std::filesystem::path& path, std::string_view stage,
     reg.counter("snapshot.save_retry").Increment(outcome.retries());
   }
   if (outcome.ok) {
-    reg.counter("snapshot.bytes_written").Increment(ImageBytes(sections));
-    span.set_items(1);
+    const std::uint64_t bytes = ImageBytes(sections);
+    reg.counter("snapshot.bytes_written").Increment(bytes);
+    span.set_items(bytes);
   } else {
     reg.counter("snapshot.save_error").Increment();
     std::cerr << "cellspot: cannot save " << stage << " snapshot '" << path.string()
@@ -114,14 +115,14 @@ auto StageCache::TryLoad(const std::filesystem::path& path, std::string_view sta
     CountMiss("absent");
     return std::optional<Artifact>();
   }
-  obs::TraceSpan span("snapshot.load");
+  obs::TraceSpan span("snapshot.load." + std::string(stage));
   try {
     const SnapshotImage image = ReadSnapshotFile(path);
     std::optional<Artifact> artifact(decode(image));
     auto& reg = obs::MetricsRegistry::Global();
     reg.counter("snapshot.hit").Increment();
     reg.counter("snapshot.bytes_read").Increment(image.size_bytes());
-    span.set_items(1);
+    span.set_items(image.size_bytes());
     return artifact;
   } catch (const SnapshotError& e) {
     CountMiss(SnapshotErrorReasonName(e.reason()));

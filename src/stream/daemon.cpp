@@ -1,6 +1,8 @@
 #include "cellspot/stream/daemon.hpp"
 
+#include <cmath>
 #include <iostream>
+#include <limits>
 #include <utility>
 
 #include "cellspot/core/sharded_aggregation.hpp"
@@ -213,17 +215,25 @@ std::string StreamDaemon::EncodeState() const {
 }
 
 bool StreamDaemon::DecodeState(std::string_view payload) {
+  // Accepts only what EncodeState writes: slot indices strictly
+  // ascending, 32-bit seqs, and stats and demand the export paths take.
   std::vector<Slot> restored(slots_.size());
   try {
     snapshot::ByteReader r(payload);
     if (r.Varint() != slots_.size()) return false;  // different world shape
     const std::uint64_t populated = r.Varint();
+    std::uint64_t next_index = 0;
     for (std::uint64_t n = 0; n < populated; ++n) {
       const std::uint64_t i = r.Varint();
-      if (i >= restored.size()) return false;
+      if (i < next_index || i >= restored.size()) return false;
+      next_index = i + 1;
       Slot& slot = restored[i];
-      slot.beacon_seq = static_cast<std::uint32_t>(r.Varint());
-      slot.demand_seq = static_cast<std::uint32_t>(r.Varint());
+      const std::uint64_t beacon_seq = r.Varint();
+      const std::uint64_t demand_seq = r.Varint();
+      constexpr std::uint64_t kMaxSeq = std::numeric_limits<std::uint32_t>::max();
+      if (beacon_seq > kMaxSeq || demand_seq > kMaxSeq) return false;
+      slot.beacon_seq = static_cast<std::uint32_t>(beacon_seq);
+      slot.demand_seq = static_cast<std::uint32_t>(demand_seq);
       slot.stats.hits = r.Varint();
       slot.stats.netinfo_hits = r.Varint();
       slot.stats.cellular_labels = r.Varint();
@@ -233,6 +243,8 @@ bool StreamDaemon::DecodeState(std::string_view payload) {
       slot.stats.mobile_browser_hits = r.Varint();
       slot.demand_raw = r.F64();
       slot.last_update_tick = r.Varint();
+      if (!slot.stats.IsConsistent()) return false;
+      if (!std::isfinite(slot.demand_raw) || slot.demand_raw < 0.0) return false;
       slot.liveness = SubnetLiveness::kActive;  // settled by the next sweep
     }
     r.ExpectEnd();

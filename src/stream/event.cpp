@@ -72,14 +72,10 @@ std::optional<StreamEvent> DecodeEventFrame(std::string_view frame) noexcept {
       event.stats.other_labels = r.Varint();
       event.stats.mobile_browser_hits = r.Varint();
       // Decode-is-validate: aggregates that could not have come from the
-      // generator are rejected even when the CRC happens to pass.
-      if (event.stats.netinfo_hits > event.stats.hits) return std::nullopt;
-      if (event.stats.mobile_browser_hits > event.stats.hits) return std::nullopt;
-      const std::uint64_t labels = event.stats.cellular_labels + event.stats.wifi_labels +
-                                   event.stats.ethernet_labels + event.stats.other_labels;
-      // <= not ==: intermediate cumulative rounds floor each field
-      // independently, so label sums can lag netinfo hits mid-stream.
-      if (labels > event.stats.netinfo_hits) return std::nullopt;
+      // generator are rejected even when the CRC happens to pass. Label
+      // sums may lag netinfo hits mid-stream (intermediate cumulative
+      // rounds floor each field independently), which IsConsistent allows.
+      if (!event.stats.IsConsistent()) return std::nullopt;
     } else {
       event.demand_raw = r.F64();
       if (!std::isfinite(event.demand_raw) || event.demand_raw < 0.0) {

@@ -14,6 +14,7 @@
 #include <sstream>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "cellspot/obs/metrics.hpp"
@@ -39,6 +40,21 @@ bool HasPipelineSpan(std::string_view leaf) {
     if (s.path.find(needle) != std::string::npos) return true;
   }
   return false;
+}
+
+/// Occurrences and summed items of every span whose leaf is `leaf`,
+/// wherever it nests.
+std::pair<std::uint64_t, std::uint64_t> LeafSpan(std::string_view leaf) {
+  std::uint64_t count = 0;
+  std::uint64_t items = 0;
+  for (const auto& s : obs::MetricsRegistry::Global().Snapshot().spans) {
+    const std::string_view path = s.path;
+    const std::size_t slash = path.rfind('/');
+    if (path.substr(slash == std::string_view::npos ? 0 : slash + 1) != leaf) continue;
+    count += s.count;
+    items += s.items;
+  }
+  return {count, items};
 }
 
 std::string Exports(const Experiment& exp) {
@@ -84,6 +100,17 @@ TEST(StageCachePipeline, WarmRunSkipsCachedStagesByteIdentically) {
     file_bytes += fs::file_size(path);
   }
   EXPECT_EQ(CounterValue("snapshot.bytes_read"), file_bytes);
+  // One load span per artifact, carrying that file's size as its items.
+  for (const auto& [artifact, path] :
+       {std::pair{"world", cache.WorldPath(config.world)},
+        std::pair{"datasets", cache.DatasetsPath(config.world)},
+        std::pair{"classified", cache.ClassifiedPath(config.world, config.classifier)},
+        std::pair{"lpm", cache.LpmPath(config.world)}}) {
+    const auto [count, items] = LeafSpan("snapshot.load." + std::string(artifact));
+    EXPECT_EQ(count, 1u) << artifact;
+    EXPECT_EQ(items, fs::file_size(path)) << artifact;
+  }
+  EXPECT_EQ(LeafSpan("snapshot.load").first, 0u);
   // The cached stages never ran: no stage spans.
   EXPECT_FALSE(HasPipelineSpan("build_world"));
   EXPECT_FALSE(HasPipelineSpan("compile_lpm"));

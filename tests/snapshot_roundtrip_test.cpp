@@ -13,6 +13,8 @@
 #include <functional>
 #include <sstream>
 #include <string>
+#include <string_view>
+#include <utility>
 #include <vector>
 
 #include "cellspot/asdb/serialization.hpp"
@@ -339,6 +341,135 @@ TEST(SnapshotSerde, ForgedRowCountsFailAsShortReads) {
                 reason)
           << name;
     }
+  }
+}
+
+/// `sections` with the first row of section `name` written twice and
+/// its row count bumped, re-framed so every CRC is valid. `skip_row`
+/// reads past one row of that section.
+SnapshotImage WithFirstRowRepeated(std::vector<Section> sections, std::string_view name,
+                                   const std::function<void(ByteReader&)>& skip_row) {
+  bool found = false;
+  for (Section& s : sections) {
+    if (s.name != name) continue;
+    found = true;
+    ByteReader r(s.payload);
+    const std::uint64_t count = r.Varint();
+    EXPECT_GT(count, 0u) << name;
+    const std::size_t rows = s.payload.size() - r.remaining();
+    skip_row(r);
+    const std::size_t first_row_end = s.payload.size() - r.remaining();
+    ByteWriter w;
+    w.Varint(count + 1);
+    w.Bytes(std::string_view(s.payload).substr(rows, first_row_end - rows));
+    w.Bytes(std::string_view(s.payload).substr(rows));
+    s.payload = std::move(w).Take();
+  }
+  EXPECT_TRUE(found) << name;
+  return DecodeSnapshot(EncodeSnapshot(sections));
+}
+
+void SkipPrefix(ByteReader& r) {
+  const std::uint8_t family = r.U8();
+  (void)r.U8();
+  (void)r.Bytes(family == 4 ? 4 : 16);
+}
+
+/// The error `decode` throws; kIo and an empty message when it throws none.
+std::pair<SnapshotErrorReason, std::string> ErrorOf(const std::function<void()>& decode) {
+  try {
+    decode();
+  } catch (const SnapshotError& e) {
+    return {e.reason(), e.what()};
+  }
+  return {SnapshotErrorReason::kIo, ""};
+}
+
+TEST(SnapshotSerde, DuplicateKeysInEverySectionAreMalformed) {
+  const Artifacts a = Build(1);
+  struct Case {
+    const char* section;
+    std::function<void(ByteReader&)> skip_row;
+    const char* message;
+  };
+  const std::vector<Case> world_cases = {
+      {"world.asdb",
+       [](ByteReader& r) {
+         (void)r.Varint();
+         (void)r.String();
+         (void)r.String();
+         (void)r.Bytes(3);  // continent, class, kind
+       },
+       "duplicate ASNs in AS database"},
+      {"world.rib",
+       [](ByteReader& r) {
+         (void)r.Varint();
+         SkipPrefix(r);
+       },
+       "duplicate prefixes in RIB"},
+      {"world.operators",
+       [](ByteReader& r) {
+         (void)r.Varint();
+         (void)r.Bytes(1 + 2);  // kind, country
+         (void)r.String();
+         (void)r.Bytes(1 + 3 * 8 + 1 + 1 + 4 + 4);  // continent .. subnet_end
+       },
+       "duplicate operator ASNs"},
+      {"world.subnets",
+       [](ByteReader& r) {
+         SkipPrefix(r);
+         (void)r.Varint();
+         (void)r.Bytes(2 + 1 + 4 * 8);  // country, flags, four f64
+       },
+       "duplicate subnet blocks"},
+  };
+  for (const Case& c : world_cases) {
+    const auto [reason, message] = ErrorOf([&] {
+      (void)DecodeWorld(WithFirstRowRepeated(EncodeWorld(a.world), c.section, c.skip_row));
+    });
+    EXPECT_EQ(reason, SnapshotErrorReason::kMalformed) << c.section;
+    EXPECT_NE(message.find(c.message), std::string::npos) << c.section << ": " << message;
+  }
+
+  const std::vector<Case> dataset_cases = {
+      {"beacon.blocks",
+       [](ByteReader& r) {
+         SkipPrefix(r);
+         for (int field = 0; field < 7; ++field) (void)r.Varint();
+       },
+       "duplicate beacon blocks"},
+      {"demand.blocks",
+       [](ByteReader& r) {
+         SkipPrefix(r);
+         (void)r.Bytes(8);
+       },
+       "duplicate demand blocks"},
+  };
+  for (const Case& c : dataset_cases) {
+    const auto [reason, message] = ErrorOf([&] {
+      (void)DecodeDatasets(
+          WithFirstRowRepeated(EncodeDatasets(a.beacons, a.demand), c.section, c.skip_row));
+    });
+    EXPECT_EQ(reason, SnapshotErrorReason::kMalformed) << c.section;
+    EXPECT_NE(message.find(c.message), std::string::npos) << c.section << ": " << message;
+  }
+
+  const std::vector<Case> classified_cases = {
+      {"classified.ratios.0",
+       [](ByteReader& r) {
+         SkipPrefix(r);
+         (void)r.Bytes(8);
+       },
+       "duplicate classified block"},
+      {"classified.cellular.0", SkipPrefix, "duplicate cellular block"},
+  };
+  for (const Case& c : classified_cases) {
+    const auto [reason, message] = ErrorOf([&] {
+      (void)DecodeClassified(
+          WithFirstRowRepeated(EncodeClassified(a.classified), c.section, c.skip_row));
+    });
+    EXPECT_EQ(reason, SnapshotErrorReason::kMalformed) << c.section;
+    EXPECT_NE(message.find(c.message), std::string::npos) << c.section << ": " << message;
   }
 }
 

@@ -2,13 +2,20 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstdint>
 #include <filesystem>
+#include <limits>
 #include <string>
 #include <thread>
+#include <utility>
+#include <vector>
 
 #include "cellspot/cdn/event_stream.hpp"
+#include "cellspot/exec/executor.hpp"
 #include "cellspot/obs/metrics.hpp"
 #include "cellspot/simnet/world.hpp"
+#include "cellspot/snapshot/binary_io.hpp"
 #include "cellspot/snapshot/serde.hpp"
 #include "cellspot/snapshot/snapshot.hpp"
 #include "cellspot/stream/event.hpp"
@@ -181,6 +188,97 @@ TEST(StreamDaemon, CheckpointRestoreRoundTripsStateAndRecomputesVerdicts) {
   recovered.Tick();
   EXPECT_EQ(recovered.stats().applied, 0u);
   EXPECT_EQ(recovered.stats().duplicate, 2u);
+}
+
+/// One populated slot of a hand-written state payload, valid unless a
+/// case below breaks it.
+struct ForgedSlot {
+  std::uint64_t index = 0;
+  std::uint64_t beacon_seq = 3;
+  std::uint64_t demand_seq = 2;
+  dataset::BeaconBlockStats stats{.hits = 20,
+                                  .netinfo_hits = 10,
+                                  .cellular_labels = 9,
+                                  .wifi_labels = 1,
+                                  .mobile_browser_hits = 10};
+  double demand_raw = 12.5;
+};
+
+/// The layout StreamDaemon::EncodeState writes, for arbitrary slots.
+std::string StatePayload(const std::vector<ForgedSlot>& slots) {
+  snapshot::ByteWriter w;
+  w.Varint(TinyWorld().subnets().size());
+  w.Varint(slots.size());
+  for (const ForgedSlot& slot : slots) {
+    w.Varint(slot.index);
+    w.Varint(slot.beacon_seq);
+    w.Varint(slot.demand_seq);
+    w.Varint(slot.stats.hits);
+    w.Varint(slot.stats.netinfo_hits);
+    w.Varint(slot.stats.cellular_labels);
+    w.Varint(slot.stats.wifi_labels);
+    w.Varint(slot.stats.ethernet_labels);
+    w.Varint(slot.stats.other_labels);
+    w.Varint(slot.stats.mobile_browser_hits);
+    w.F64(slot.demand_raw);
+    w.Varint(/*last_update_tick=*/1);
+  }
+  return std::move(w).Take();
+}
+
+TEST(StreamDaemon, ForgedCheckpointStatesStartFresh) {
+  const std::uint64_t hash = StreamDaemon::ConfigHash(simnet::WorldConfig::Tiny(), {});
+  const auto with = [](auto edit) {
+    ForgedSlot slot;
+    slot.index = 1;
+    edit(slot);
+    return StatePayload({slot});
+  };
+  constexpr std::uint64_t k2To32 = std::uint64_t{1} << 32;
+  const std::vector<std::pair<std::string, std::string>> forged = {
+      {"repeated slot index", StatePayload({{.index = 2}, {.index = 2}})},
+      {"descending slot index", StatePayload({{.index = 2}, {.index = 1}})},
+      {"beacon seq above 2^32-1", with([](ForgedSlot& s) { s.beacon_seq = k2To32; })},
+      {"demand seq above 2^32-1", with([](ForgedSlot& s) { s.demand_seq = k2To32 + 7; })},
+      {"NaN demand", with([](ForgedSlot& s) { s.demand_raw = std::nan(""); })},
+      {"infinite demand",
+       with([](ForgedSlot& s) { s.demand_raw = std::numeric_limits<double>::infinity(); })},
+      {"negative demand", with([](ForgedSlot& s) { s.demand_raw = -1.0; })},
+      {"netinfo above hits", with([](ForgedSlot& s) { s.stats.netinfo_hits = 21; })},
+      {"mobile above hits", with([](ForgedSlot& s) { s.stats.mobile_browser_hits = 21; })},
+      {"labels above netinfo", with([](ForgedSlot& s) { s.stats.other_labels = 1; })},
+      {"label sum wrapping past 2^64", with([](ForgedSlot& s) {
+         s.stats.ethernet_labels = ~std::uint64_t{0} - 5;  // 9 + 1 + this wraps to 4
+       })},
+  };
+
+  auto& corrupt = obs::MetricsRegistry::Global().counter("stream.checkpoint.corrupt");
+  {
+    // The forging helper itself writes a restorable state.
+    CheckpointStore store(FreshDir("daemon_ckpt_forged_ok"), hash);
+    ASSERT_TRUE(store.Save(7, StatePayload({{.index = 0}, {.index = 2}})));
+    StreamDaemon daemon(TinyWorld(), {}, {}, &store);
+    const std::uint64_t before = corrupt.value();
+    ASSERT_TRUE(daemon.TryRestore());
+    EXPECT_EQ(daemon.tick(), 7u);
+    EXPECT_EQ(corrupt.value(), before);
+    EXPECT_EQ(daemon.ExportBeacons().block_count(), 2u);
+  }
+  for (const auto& [name, payload] : forged) {
+    SCOPED_TRACE(name);
+    CheckpointStore store(FreshDir("daemon_ckpt_forged"), hash);
+    ASSERT_TRUE(store.Save(7, payload));
+    StreamDaemon daemon(TinyWorld(), {}, {}, &store);
+    const std::uint64_t before = corrupt.value();
+    EXPECT_FALSE(daemon.TryRestore());
+    EXPECT_EQ(corrupt.value(), before + 1);
+    // Started fresh: nothing restored, and every export still works.
+    EXPECT_EQ(daemon.tick(), 0u);
+    EXPECT_EQ(daemon.ExportBeacons().block_count(), 0u);
+    EXPECT_EQ(daemon.ExportDemand().block_count(), 0u);
+    exec::Executor executor(1);
+    EXPECT_TRUE(daemon.ExportCandidates(executor).empty());
+  }
 }
 
 TEST(StreamDaemon, RestoreWithoutStoreOrCheckpointIsClean) {

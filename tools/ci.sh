@@ -9,7 +9,8 @@
 #                            # gates sharded_aggregation against its committed
 #                            # trajectory (--update-baseline blesses a new one)
 #   tools/ci.sh shard        # sharded aggregation engine, ASan then TSan
-#   tools/ci.sh snapshot     # snapshot readers under ASan, query source under TSan
+#   tools/ci.sh snapshot     # snapshot readers + position index under ASan,
+#                            # query source under TSan
 #   tools/ci.sh stream-chaos # streaming chaos harness under ASan and TSan
 #   tools/ci.sh query        # columnar query engine tests under ASan
 #   tools/ci.sh lpm          # flat LPM engine differential + consumers, ASan then TSan
@@ -267,13 +268,17 @@ stream_queue_test"
 
 # The snapshot format and stage cache under ASan+UBSan: binary
 # roundtrips, the corruption-fallback matrix, the warm-cache pipeline
-# path, and the other readers of the mapped image (stream checkpoints,
-# the query source) — the code most exposed to hostile bytes. Then the
+# path, and the other readers of the mapped image (stream checkpoints
+# and the daemon state they carry, the query source) — the code most
+# exposed to hostile bytes — plus the position index every decoded map
+# and world index is built on, where an off-by-one in the probe loop or
+# the position arithmetic shows up as an out-of-bounds read. Then the
 # query source under TSan with a forced multi-worker pool, since it
 # decodes classified shards on its executor.
 run_snapshot() {
   local targets="snapshot_roundtrip_test snapshot_corruption_test snapshot_cache_test \
-util_parse_test stream_checkpoint_test query_engine_test"
+util_parse_test util_stable_map_test stream_checkpoint_test stream_daemon_test \
+query_engine_test"
   local dir="build-asan"
   cmake -B "$dir" -S . -DCELLSPOT_SANITIZE=address
   # shellcheck disable=SC2086

@@ -442,9 +442,8 @@ FileClass Classify(std::string_view rel_path) {
   cls.concurrency = in_src && !Contains(rel_path, "src/exec/");
   cls.check_catch = in_src;
 
-  // L002: deterministic-output TUs under src/ (StableMap's own
-  // implementation file is the one sanctioned unordered_map user).
-  if (in_src && !EndsWith(rel_path, "util/stable_map.hpp")) {
+  // L002: deterministic-output TUs under src/.
+  if (in_src) {
     for (const std::string_view dir : kDeterministicDirs) {
       if (Contains(rel_path, dir)) cls.deterministic_tu = true;
     }
