@@ -5,8 +5,9 @@
 // all three paper presets plus one ad-hoc grouped plan. The snapshots
 // are written once outside the timed region, so rep wall times measure
 // decode + table build + plan evaluation only. Per-stage latencies
-// ("query.decode" … "query.sort") accumulate in the metrics registry and
-// land in the --json-out / --metrics-out documents as histograms.
+// ("query.load_bundle", "query.build_tables", then "query.filter" …
+// "query.sort") accumulate in the metrics registry and land in the
+// --json-out / --metrics-out documents as histograms.
 #include <cstdio>
 #include <filesystem>
 
@@ -23,7 +24,7 @@ using namespace cellspot;
 
 void PrintStage(const char* name) {
   const obs::LatencyHistogram& h = obs::MetricsRegistry::Global().latency(name);
-  std::printf("  %-16s n=%-4llu p50 %7.3f ms  p90 %7.3f ms  max %7.3f ms\n", name,
+  std::printf("  %-18s n=%-4llu p50 %7.3f ms  p90 %7.3f ms  max %7.3f ms\n", name,
               static_cast<unsigned long long>(h.count()), h.ApproxQuantileMs(0.5),
               h.ApproxQuantileMs(0.9), h.max_ms());
 }
@@ -75,7 +76,8 @@ int main(int argc, char** argv) {
     std::printf("world: %zu demand blocks, %zu beacon blocks\n",
                 bundle.demand.block_count(), bundle.beacons.block_count());
     std::printf("per-stage latency (cumulative across executions):\n");
-    PrintStage("query.decode");
+    PrintStage("query.load_bundle");
+    PrintStage("query.build_tables");
     PrintStage("query.filter");
     PrintStage("query.group");
     PrintStage("query.aggregate");

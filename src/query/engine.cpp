@@ -34,6 +34,7 @@ struct BoundFilter {
   double f64 = 0.0;
   bool str_code_found = false;
   std::uint32_t str_code = 0;
+  netaddr::Prefix prefix;
 };
 
 template <typename T>
@@ -57,6 +58,10 @@ bool Matches(const BoundFilter& f, std::size_t row) noexcept {
       const bool eq = f.str_code_found && f.column->codes[row] == f.str_code;
       return f.op == CompareOp::kEq ? eq : !eq;
     }
+    case ColumnType::kPrefix: {
+      const bool eq = f.column->prefix[row] == f.prefix;
+      return f.op == CompareOp::kEq ? eq : !eq;
+    }
   }
   return false;
 }
@@ -72,14 +77,17 @@ BoundFilter BindFilter(const Filter& filter, const Table& table) {
                          std::string(ColumnTypeName(out.column->type)) + " column",
                      QueryErrorCode::kTypeMismatch);
   }
+  if (!IsNumeric(out.column->type) && out.op != CompareOp::kEq &&
+      out.op != CompareOp::kNe) {
+    throw QueryError(std::string(ColumnTypeName(out.column->type)) + " column '" +
+                         filter.column + "' supports only = and !=",
+                     QueryErrorCode::kTypeMismatch);
+  }
   switch (filter.value.type) {
     case ColumnType::kU64: out.u64 = filter.value.u64; break;
     case ColumnType::kF64: out.f64 = filter.value.f64; break;
+    case ColumnType::kPrefix: out.prefix = filter.value.prefix; break;
     case ColumnType::kStr: {
-      if (out.op != CompareOp::kEq && out.op != CompareOp::kNe) {
-        throw QueryError("string column '" + filter.column + "' supports only = and !=",
-                         QueryErrorCode::kTypeMismatch);
-      }
       const auto& dict = out.column->dict;
       for (std::size_t i = 0; i < dict.size(); ++i) {
         if (dict[i] == filter.value.str) {
@@ -176,6 +184,14 @@ void AppendKeyBytes(std::string& key, const Column& column, std::size_t row) {
       key.append(s.data(), s.size());
       break;
     }
+    case ColumnType::kPrefix: {
+      key += 'p';
+      const netaddr::Prefix& p = column.prefix[row];
+      key += static_cast<char>(p.family());
+      key.append(reinterpret_cast<const char*>(p.address().bytes().data()), 16);
+      key += static_cast<char>(p.length());
+      break;
+    }
   }
 }
 
@@ -184,6 +200,7 @@ Value KeyValue(const Column& column, std::size_t row) {
     case ColumnType::kU64: return Value::U64(column.u64[row]);
     case ColumnType::kF64: return Value::F64(column.f64[row]);
     case ColumnType::kStr: return Value::Str(std::string(column.Str(row)));
+    case ColumnType::kPrefix: return Value::Prefix(column.prefix[row]);
   }
   return Value{};
 }
@@ -215,9 +232,10 @@ Table RunGrouped(const Table& table, const Plan& plan,
       continue;
     }
     const Column& col = table.column(table.ColumnIndex(agg.column));
-    if (col.type == ColumnType::kStr) {
+    if (!IsNumeric(col.type)) {
       throw QueryError("aggregate " + std::string(AggKindName(agg.kind)) +
-                           " needs a numeric column, '" + col.name + "' is str",
+                           " needs a numeric column, '" + col.name + "' is " +
+                           std::string(ColumnTypeName(col.type)),
                        QueryErrorCode::kTypeMismatch);
     }
     if (agg.kind == AggKind::kQuantile && (agg.q <= 0.0 || agg.q > 1.0)) {
@@ -321,6 +339,7 @@ Table RunGrouped(const Table& table, const Plan& plan,
         case ColumnType::kU64: builder.AppendU64(key_cols[k], v.u64); break;
         case ColumnType::kF64: builder.AppendF64(key_cols[k], v.f64); break;
         case ColumnType::kStr: builder.AppendStr(key_cols[k], v.str); break;
+        case ColumnType::kPrefix: builder.AppendPrefix(key_cols[k], v.prefix); break;
       }
     }
     for (std::size_t a = 0; a < plan.aggregates.size(); ++a) {
@@ -390,6 +409,7 @@ Table GatherRows(const Table& table, const std::vector<std::size_t>& rows,
         col.codes.resize(rows.size());
         col.dict = src.dict;
         break;
+      case ColumnType::kPrefix: col.prefix.resize(rows.size()); break;
     }
     out.push_back(std::move(col));
   }
@@ -404,6 +424,7 @@ Table GatherRows(const Table& table, const std::vector<std::size_t>& rows,
           case ColumnType::kU64: dst.u64[i] = src.u64[row]; break;
           case ColumnType::kF64: dst.f64[i] = src.f64[row]; break;
           case ColumnType::kStr: dst.codes[i] = src.codes[row]; break;
+          case ColumnType::kPrefix: dst.prefix[i] = src.prefix[row]; break;
         }
       }
     }
@@ -455,6 +476,12 @@ Table RunOrderLimit(Table table, const Plan& plan, exec::Executor& executor) {
             const std::string_view sa = col->Str(a);
             const std::string_view sb = col->Str(b);
             cmp = sa < sb ? -1 : (sa > sb ? 1 : 0);
+            break;
+          }
+          case ColumnType::kPrefix: {
+            // Address order (family, bytes, length), not rendered text.
+            const auto order = col->prefix[a] <=> col->prefix[b];
+            cmp = order < 0 ? -1 : (order > 0 ? 1 : 0);
             break;
           }
         }

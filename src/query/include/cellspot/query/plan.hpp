@@ -10,6 +10,7 @@
 #include <string_view>
 #include <vector>
 
+#include "cellspot/netaddr/prefix.hpp"
 #include "cellspot/query/error.hpp"
 #include "cellspot/query/table.hpp"
 
@@ -21,6 +22,7 @@ struct Value {
   std::uint64_t u64 = 0;
   double f64 = 0.0;
   std::string str;
+  netaddr::Prefix prefix;
 
   [[nodiscard]] static Value U64(std::uint64_t v) {
     Value out;
@@ -40,6 +42,12 @@ struct Value {
     out.str = std::move(v);
     return out;
   }
+  [[nodiscard]] static Value Prefix(const netaddr::Prefix& v) {
+    Value out;
+    out.type = ColumnType::kPrefix;
+    out.prefix = v;
+    return out;
+  }
 };
 
 enum class CompareOp : std::uint8_t { kEq = 0, kNe, kLt, kLe, kGt, kGe };
@@ -47,8 +55,8 @@ enum class CompareOp : std::uint8_t { kEq = 0, kNe, kLt, kLe, kGt, kGe };
 /// "=", "!=", "<", "<=", ">", ">=".
 [[nodiscard]] std::string_view CompareOpName(CompareOp op) noexcept;
 
-/// Keep rows where `column <op> value`. String columns support only
-/// kEq/kNe.
+/// Keep rows where `column <op> value`. String and prefix columns
+/// support only kEq/kNe.
 struct Filter {
   std::string column;
   CompareOp op = CompareOp::kEq;
@@ -101,7 +109,9 @@ struct Plan {
 
 /// "country=DE", "du>0.5", "asn!=64512". Operators: = != < <= > >=.
 /// The literal is typed by the column: u64/f64 columns require a strict
-/// number, string columns take the text verbatim.
+/// number, prefix columns a prefix with no host bits set (any spelling:
+/// "2400:0000::/48" equals "2400::/48"), string columns take the text
+/// verbatim.
 [[nodiscard]] Filter ParseFilterExpr(std::string_view expr, const Table& table);
 
 /// "count()", "sum(du)", "mean(ratio)", "min(du)", "max(du)",

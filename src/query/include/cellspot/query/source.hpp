@@ -43,7 +43,8 @@ struct SnapshotBundle {
 /// (the classified shards in parallel on `executor`). `classified_path`
 /// may be empty: the classification is then recomputed from the beacon
 /// dataset with `options.classifier` (deterministic, so equal to the
-/// snapshot).
+/// snapshot). One 'query.load_bundle' span, with one
+/// 'snapshot.load.<artifact>' span per file read (items = file bytes).
 /// Throws SnapshotError for container defects, QueryError{kBadSource}
 /// for structural problems.
 [[nodiscard]] SnapshotBundle LoadBundleFromFiles(const std::filesystem::path& world_path,
@@ -54,7 +55,10 @@ struct SnapshotBundle {
 
 /// Load from a stage-cache/snapshot directory: expects exactly one
 /// world.*.snap and one datasets.*.snap (classified.*.snap optional).
-/// Ambiguity or absence is QueryError{kBadSource}.
+/// Ambiguity or absence is QueryError{kBadSource}. Once the world is
+/// decoded, its RIB adopts the directory's compiled engine
+/// (snapshot::StageCache::TryLoadLpm); a missing, foreign or damaged
+/// lpm entry is a cache miss and the engine compiles on first use.
 [[nodiscard]] SnapshotBundle LoadBundleFromDir(const std::filesystem::path& dir,
                                                const BundleOptions& options,
                                                exec::Executor& executor);
@@ -94,9 +98,12 @@ class TableSet {
   [[nodiscard]] const Table& Find(std::string_view name) const;
 };
 
-/// Join artifacts into columnar tables. AS origin lookups run in
-/// parallel; rows land in artifact iteration order regardless of thread
-/// count. Records decode latency under "query.decode".
+/// Join artifacts into columnar tables. Every column is written at its
+/// row index in parallel (AS origins resolved in chunk batches), so rows
+/// land in artifact iteration order regardless of thread count. `block`
+/// is a prefix column, `family` a {v4, v6} dictionary, and `country`/
+/// `continent` dictionaries built once from the AS records. Records
+/// latency under "query.build_tables".
 [[nodiscard]] TableSet BuildTables(const ArtifactRefs& refs, exec::Executor& executor);
 [[nodiscard]] TableSet BuildTables(const SnapshotBundle& bundle, exec::Executor& executor);
 

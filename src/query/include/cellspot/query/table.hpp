@@ -1,13 +1,15 @@
 // Immutable columnar in-memory tables — the unit the query engine scans.
 //
 // A Table is a set of equally-sized named columns. Numeric columns store
-// raw u64/f64 vectors; string columns are dictionary-encoded (u32 codes
-// into a first-appearance-ordered dictionary), which keeps group-by keys
-// and filters on country/continent/family cheap. Row order is part of
-// the table's identity: sources build rows in artifact iteration order,
-// and every engine stage preserves (or deterministically permutes) it —
-// that is what makes floating-point aggregates byte-identical to the
-// sequential analysis::reports loops at any thread count.
+// raw u64/f64 vectors; prefix columns store netaddr::Prefix values (the
+// `block` key of every joined table, rendered as text only by
+// RenderTable); string columns are dictionary-encoded (u32 codes into a
+// dictionary), which keeps group-by keys and filters on
+// country/continent/family cheap. Row order is part of the table's
+// identity: sources build rows in artifact iteration order, and every
+// engine stage preserves (or deterministically permutes) it — that is
+// what makes floating-point aggregates byte-identical to the sequential
+// analysis::reports loops at any thread count.
 #pragma once
 
 #include <cstdint>
@@ -15,6 +17,7 @@
 #include <string_view>
 #include <vector>
 
+#include "cellspot/netaddr/prefix.hpp"
 #include "cellspot/query/error.hpp"
 #include "cellspot/util/stable_map.hpp"
 
@@ -28,26 +31,34 @@ enum class ColumnType : std::uint8_t {
   kU64 = 0,
   kF64,
   kStr,
+  kPrefix,
 };
 
-/// "u64" / "f64" / "str".
+/// "u64" / "f64" / "str" / "prefix".
 [[nodiscard]] std::string_view ColumnTypeName(ColumnType t) noexcept;
+
+/// u64 and f64: the types that aggregate and order under < and >.
+[[nodiscard]] constexpr bool IsNumeric(ColumnType t) noexcept {
+  return t == ColumnType::kU64 || t == ColumnType::kF64;
+}
 
 /// One column: name, type, and exactly one populated storage vector.
 struct Column {
   std::string name;
   ColumnType type = ColumnType::kU64;
 
-  std::vector<std::uint64_t> u64;   // kU64
-  std::vector<double> f64;          // kF64
-  std::vector<std::uint32_t> codes; // kStr: dictionary codes per row
-  std::vector<std::string> dict;    // kStr: code -> string
+  std::vector<std::uint64_t> u64{};       // kU64
+  std::vector<double> f64{};              // kF64
+  std::vector<std::uint32_t> codes{};     // kStr: dictionary codes per row
+  std::vector<std::string> dict{};        // kStr: code -> string
+  std::vector<netaddr::Prefix> prefix{};  // kPrefix
 
   [[nodiscard]] std::size_t size() const noexcept {
     switch (type) {
       case ColumnType::kU64: return u64.size();
       case ColumnType::kF64: return f64.size();
       case ColumnType::kStr: return codes.size();
+      case ColumnType::kPrefix: return prefix.size();
     }
     return 0;
   }
@@ -93,6 +104,7 @@ class TableBuilder {
   void AppendU64(std::size_t col, std::uint64_t v);
   void AppendF64(std::size_t col, double v);
   void AppendStr(std::size_t col, std::string_view v);
+  void AppendPrefix(std::size_t col, const netaddr::Prefix& v);
 
   /// Throws QueryError{kBadTable} on ragged columns.
   [[nodiscard]] Table Finish();
@@ -107,7 +119,8 @@ class TableBuilder {
 
 /// Render every row into a sink: u64 as decimal, f64 via
 /// util::FormatDouble(v, 6) (the figure-export precision), strings
-/// verbatim. Runs Begin/Row*/End on the sink.
+/// verbatim, prefixes as Prefix::ToString(). Runs Begin/Row*/End on the
+/// sink.
 void RenderTable(const Table& table, util::TableSink& sink);
 
 }  // namespace cellspot::query

@@ -38,6 +38,17 @@ Value ParseLiteral(std::string_view text, const Column& column) {
     }
     case ColumnType::kStr:
       return Value::Str(std::string(text));
+    case ColumnType::kPrefix: {
+      // TryParse masks host bits; a literal that had any is rejected,
+      // not silently widened to its prefix.
+      const auto v = netaddr::Prefix::TryParse(text);
+      if (!v || netaddr::IpAddress::TryParse(text.substr(0, text.find('/'))) != v->address()) {
+        throw QueryError("column '" + column.name + "' is prefix but literal '" +
+                             std::string(text) + "' is not a prefix with zero host bits",
+                         QueryErrorCode::kTypeMismatch);
+      }
+      return Value::Prefix(*v);
+    }
   }
   throw QueryError("unhandled column type", QueryErrorCode::kTypeMismatch);
 }
@@ -109,10 +120,10 @@ Filter ParseFilterExpr(std::string_view expr, const Table& table) {
   if (name.empty()) BadExpr(expr, "missing column name");
 
   const Column& column = ResolveColumn(name, table);
-  if (column.type == ColumnType::kStr && found->op != CompareOp::kEq &&
+  if (!IsNumeric(column.type) && found->op != CompareOp::kEq &&
       found->op != CompareOp::kNe) {
-    throw QueryError("string column '" + column.name + "' supports only = and !=, got '" +
-                         std::string(found->token) + "'",
+    throw QueryError(std::string(ColumnTypeName(column.type)) + " column '" + column.name +
+                         "' supports only = and !=, got '" + std::string(found->token) + "'",
                      QueryErrorCode::kTypeMismatch);
   }
 
@@ -163,9 +174,10 @@ Aggregate ParseAggregateExpr(std::string_view expr, const Table& table) {
   }
 
   const Column& column = ResolveColumn(fields[0], table);
-  if (column.type == ColumnType::kStr) {
+  if (!IsNumeric(column.type)) {
     throw QueryError("aggregate " + std::string(AggKindName(out.kind)) +
-                         " needs a numeric column, '" + column.name + "' is str",
+                         " needs a numeric column, '" + column.name + "' is " +
+                         std::string(ColumnTypeName(column.type)),
                      QueryErrorCode::kTypeMismatch);
   }
   out.column = column.name;

@@ -1,8 +1,10 @@
 #include "cellspot/query/source.hpp"
 
 #include <algorithm>
-#include <span>
+#include <cstdint>
+#include <functional>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -12,6 +14,7 @@
 #include "cellspot/obs/trace.hpp"
 #include "cellspot/snapshot/serde.hpp"
 #include "cellspot/snapshot/snapshot.hpp"
+#include "cellspot/snapshot/stage_cache.hpp"
 #include "cellspot/stream/checkpoint.hpp"
 #include "cellspot/stream/daemon.hpp"
 #include "cellspot/util/stable_map.hpp"
@@ -23,12 +26,8 @@ namespace {
 
 constexpr std::size_t kGrain = 2048;
 
-void RecordDecode(obs::TraceSpan& span) {
-  obs::MetricsRegistry::Global().latency("query.decode").Record(span.elapsed_ms());
-}
-
-std::string_view FamilyName(netaddr::Family f) noexcept {
-  return f == netaddr::Family::kIpv4 ? "v4" : "v6";
+void RecordStage(const char* stage, obs::TraceSpan& span) {
+  obs::MetricsRegistry::Global().latency(stage).Record(span.elapsed_ms());
 }
 
 /// Join candidates/filter outcome onto a freshly decoded bundle.
@@ -44,25 +43,45 @@ void FinishBundle(SnapshotBundle& bundle, const BundleOptions& options,
   throw QueryError(what, QueryErrorCode::kBadSource);
 }
 
-/// Per-row join results, computed in parallel and appended sequentially.
-struct JoinedRow {
-  std::string block;
-  std::string_view family;
-  std::uint64_t asn = 0;  // 0 = unrouted
-  std::string_view country;
-  std::string_view continent;
-  double du = 0.0;
-  double ratio = 0.0;
-  bool cellular = false;
-  bool kept = false;
+/// Map and decode one snapshot file under the stage cache's span name,
+/// 'snapshot.load.<artifact>', with the file's bytes as items and added
+/// to 'snapshot.bytes_read'.
+template <typename Decode>
+auto LoadArtifact(std::string_view artifact, const fs::path& path, Decode decode) {
+  obs::TraceSpan span("snapshot.load." + std::string(artifact));
+  const snapshot::SnapshotImage image = snapshot::ReadSnapshotFile(path);
+  auto out = decode(image);
+  span.set_items(image.size_bytes());
+  obs::MetricsRegistry::Global().counter("snapshot.bytes_read").Increment(image.size_bytes());
+  return out;
+}
+
+/// What the join knows about one AS, built once per AsRecord: codes
+/// into the country and continent dictionaries and the §7.1 flag.
+struct AsCodes {
+  std::uint32_t country = 0;  // 0 = "" (unrouted, recordless or no ISO)
+  std::uint32_t continent = 0;
   bool excluded = false;
-  bool in_beacon = false;
+};
+
+/// A string dictionary under construction: `values` in insertion order,
+/// code 0 = "".
+struct Dictionary {
+  std::vector<std::string> values{""};
+  util::StableMap<std::string, std::uint32_t> codes{{"", 0}};
+
+  std::uint32_t Code(const std::string& value) {
+    if (codes.Emplace(value, static_cast<std::uint32_t>(values.size()))) values.push_back(value);
+    return *codes.Find(value);
+  }
 };
 
 struct JoinContext {
   const ArtifactRefs* refs = nullptr;
   util::StableSet<asdb::AsNumber> kept_asns;
-  util::StableSet<std::string> excluded_isos;
+  std::vector<AsCodes> as_codes;  // parallel to refs->as_db->records()
+  Dictionary countries;
+  Dictionary continents;
 };
 
 JoinContext MakeJoinContext(const ArtifactRefs& refs) {
@@ -71,189 +90,235 @@ JoinContext MakeJoinContext(const ArtifactRefs& refs) {
   if (refs.filtered != nullptr) {
     for (const core::AsAggregate& as : refs.filtered->kept) ctx.kept_asns.Insert(as.asn);
   }
-  for (const std::string& iso : refs.excluded_isos) ctx.excluded_isos.Insert(iso);
+  util::StableSet<std::string> excluded;
+  for (const std::string& iso : refs.excluded_isos) excluded.Insert(iso);
+  if (refs.as_db != nullptr) {
+    for (const asdb::AsRecord& rec : refs.as_db->records()) {
+      ctx.as_codes.push_back({ctx.countries.Code(rec.country_iso),
+                              ctx.continents.Code(std::string(geo::ContinentCode(rec.continent))),
+                              excluded.Contains(rec.country_iso)});
+    }
+  }
   return ctx;
 }
 
-/// `origin` is the block's pre-resolved origin AS (0 = unrouted); the
-/// batch LPM lookup happens in JoinAll so the hot per-row path here
-/// never walks the routing table.
-JoinedRow JoinBlock(const JoinContext& ctx, const netaddr::Prefix& block,
-                    asdb::AsNumber origin) {
-  const ArtifactRefs& refs = *ctx.refs;
-  JoinedRow row;
-  row.block = block.ToString();
-  row.family = FamilyName(block.family());
-  if (origin != 0) {
-    row.asn = origin;
-    row.kept = ctx.kept_asns.Contains(origin);
-    if (refs.as_db != nullptr) {
-      if (const asdb::AsRecord* rec = refs.as_db->Find(origin); rec != nullptr) {
-        row.country = rec->country_iso;
-        row.continent = geo::ContinentCode(rec->continent);
-        row.excluded = ctx.excluded_isos.Contains(rec->country_iso);
-      }
-    }
-  }
-  row.du = refs.demand->DemandOf(block);
-  if (const double* ratio = refs.classified->RatioOf(block); ratio != nullptr) {
-    row.ratio = *ratio;
-  }
-  row.cellular = refs.classified->IsCellular(block);
-  row.in_beacon = refs.beacons->Find(block) != nullptr;
-  return row;
+/// One row's origin AS as the join sees it.
+struct Origin {
+  asdb::AsNumber asn = 0;  // 0 = unrouted
+  AsCodes codes{};         // all zero without an AsRecord
+  bool kept = false;
+};
+
+/// Size each vector to `n` zeroed rows, one vector per task: first
+/// touching a fresh column's pages costs more than writing its values,
+/// and spread over the workers the page faults overlap.
+template <typename... Vectors>
+void SizeColumns(std::size_t n, exec::Executor& executor, Vectors&... vectors) {
+  const std::function<void()> resize[] = {[&vectors, n] { vectors.resize(n); }...};
+  executor.ParallelFor(sizeof...(vectors), 1, [&](std::size_t begin, std::size_t end) {
+    for (std::size_t i = begin; i < end; ++i) resize[i]();
+  });
 }
 
-/// Run the join for `blocks` in parallel; results land at their row's
-/// index, so output order is the artifact's iteration order at any
-/// thread count. Each chunk resolves its origins in one batch LPM call
-/// before joining row by row.
-std::vector<JoinedRow> JoinAll(const JoinContext& ctx,
-                               const std::vector<netaddr::Prefix>& blocks,
-                               exec::Executor& executor) {
+Column U64Column(std::string name, std::vector<std::uint64_t> values) {
+  return {.name = std::move(name), .type = ColumnType::kU64, .u64 = std::move(values)};
+}
+
+Column F64Column(std::string name, std::vector<double> values) {
+  return {.name = std::move(name), .type = ColumnType::kF64, .f64 = std::move(values)};
+}
+
+/// Joins the artifact rows whose blocks `rows` points at, in parallel:
+/// each chunk resolves its origins in one batch LPM call, then writes
+/// row i's leading columns (block, family, asn, country, continent) and
+/// calls `rest(i, block, origin)` for the table's own columns, every
+/// value at its row index, so the table is identical at any thread
+/// count. Returns the leading columns.
+template <typename Rest>
+std::vector<Column> Join(const JoinContext& ctx, const std::vector<const netaddr::Prefix*>& rows,
+                         exec::Executor& executor, Rest rest) {
+  const std::size_t n = rows.size();
+  std::vector<netaddr::Prefix> blocks;
+  std::vector<std::uint32_t> family, country, continent;
+  std::vector<std::uint64_t> asn;
+  SizeColumns(n, executor, blocks, family, country, continent, asn);
   const asdb::RoutingTable* rib = ctx.refs->rib;
-  std::vector<netaddr::IpAddress> addrs(blocks.size());
-  for (std::size_t i = 0; i < blocks.size(); ++i) addrs[i] = blocks[i].address();
-  if (rib != nullptr) {
-    (void)rib->Flat();  // compile once, not under the first chunk
-  }
-  std::vector<JoinedRow> rows(blocks.size());
-  executor.ParallelFor(blocks.size(), kGrain, [&](std::size_t begin, std::size_t end) {
+  const asdb::AsDatabase* as_db = ctx.refs->as_db;
+  if (rib != nullptr) (void)rib->Flat();  // compile once, not under the first chunk
+  executor.ParallelFor(n, kGrain, [&](std::size_t begin, std::size_t end) {
+    std::vector<netaddr::IpAddress> addrs(end - begin);
     std::vector<asdb::AsNumber> origins(end - begin, 0);
-    if (rib != nullptr) {
-      rib->OriginOfBatch(std::span<const netaddr::IpAddress>(addrs).subspan(begin, end - begin),
-                         origins);
-    }
     for (std::size_t i = begin; i < end; ++i) {
-      rows[i] = JoinBlock(ctx, blocks[i], origins[i - begin]);
+      blocks[i] = *rows[i];
+      addrs[i - begin] = blocks[i].address();
+    }
+    if (rib != nullptr) rib->OriginOfBatch(addrs, origins);
+    for (std::size_t i = begin; i < end; ++i) {
+      Origin origin{.asn = origins[i - begin]};
+      if (origin.asn != 0) {
+        origin.kept = ctx.kept_asns.Contains(origin.asn);
+        const asdb::AsRecord* rec = as_db != nullptr ? as_db->Find(origin.asn) : nullptr;
+        if (rec != nullptr) origin.codes = ctx.as_codes[rec - as_db->records().data()];
+      }
+      family[i] = blocks[i].family() == netaddr::Family::kIpv4 ? 0 : 1;
+      asn[i] = origin.asn;
+      country[i] = origin.codes.country;
+      continent[i] = origin.codes.continent;
+      rest(i, blocks[i], origin);
     }
   });
-  return rows;
+  std::vector<Column> columns;
+  columns.push_back({.name = "block", .type = ColumnType::kPrefix, .prefix = std::move(blocks)});
+  columns.push_back({.name = "family", .type = ColumnType::kStr, .codes = std::move(family),
+                     .dict = {"v4", "v6"}});
+  columns.push_back(U64Column("asn", std::move(asn)));
+  columns.push_back({.name = "country", .type = ColumnType::kStr, .codes = std::move(country),
+                     .dict = ctx.countries.values});
+  columns.push_back({.name = "continent", .type = ColumnType::kStr,
+                     .codes = std::move(continent), .dict = ctx.continents.values});
+  return columns;
 }
 
-void AppendJoined(TableBuilder& b, const JoinedRow& row,
-                  const std::size_t cols[5]) {
-  b.AppendStr(cols[0], row.block);
-  b.AppendStr(cols[1], row.family);
-  b.AppendU64(cols[2], row.asn);
-  b.AppendStr(cols[3], row.country);
-  b.AppendStr(cols[4], row.continent);
-}
-
-Table BuildBeaconTable(const ArtifactRefs& refs, const JoinContext& ctx,
-                       exec::Executor& executor) {
-  std::vector<netaddr::Prefix> blocks;
+Table BuildBeaconTable(const JoinContext& ctx, exec::Executor& executor) {
+  const ArtifactRefs& refs = *ctx.refs;
+  const std::size_t n = refs.beacons->block_count();
+  std::vector<const netaddr::Prefix*> rows;
   std::vector<const dataset::BeaconBlockStats*> stats;
-  refs.beacons->ForEach([&](const netaddr::Prefix& block,
-                            const dataset::BeaconBlockStats& s) {
-    blocks.push_back(block);
+  rows.reserve(n);
+  stats.reserve(n);
+  refs.beacons->ForEach([&](const netaddr::Prefix& block, const dataset::BeaconBlockStats& s) {
+    rows.push_back(&block);
     stats.push_back(&s);
   });
-  const std::vector<JoinedRow> rows = JoinAll(ctx, blocks, executor);
-
-  TableBuilder b;
-  const std::size_t join_cols[5] = {
-      b.AddColumn("block", ColumnType::kStr), b.AddColumn("family", ColumnType::kStr),
-      b.AddColumn("asn", ColumnType::kU64), b.AddColumn("country", ColumnType::kStr),
-      b.AddColumn("continent", ColumnType::kStr)};
-  const std::size_t c_hits = b.AddColumn("hits", ColumnType::kU64);
-  const std::size_t c_netinfo = b.AddColumn("netinfo_hits", ColumnType::kU64);
-  const std::size_t c_cell_l = b.AddColumn("cellular_labels", ColumnType::kU64);
-  const std::size_t c_wifi_l = b.AddColumn("wifi_labels", ColumnType::kU64);
-  const std::size_t c_eth_l = b.AddColumn("ethernet_labels", ColumnType::kU64);
-  const std::size_t c_other_l = b.AddColumn("other_labels", ColumnType::kU64);
-  const std::size_t c_mobile = b.AddColumn("mobile_browser_hits", ColumnType::kU64);
-  const std::size_t c_ratio = b.AddColumn("ratio", ColumnType::kF64);
-  const std::size_t c_du = b.AddColumn("du", ColumnType::kF64);
-  const std::size_t c_cellular = b.AddColumn("cellular", ColumnType::kU64);
-
-  for (std::size_t i = 0; i < rows.size(); ++i) {
-    const JoinedRow& row = rows[i];
-    const dataset::BeaconBlockStats& s = *stats[i];
-    AppendJoined(b, row, join_cols);
-    b.AppendU64(c_hits, s.hits);
-    b.AppendU64(c_netinfo, s.netinfo_hits);
-    b.AppendU64(c_cell_l, s.cellular_labels);
-    b.AppendU64(c_wifi_l, s.wifi_labels);
-    b.AppendU64(c_eth_l, s.ethernet_labels);
-    b.AppendU64(c_other_l, s.other_labels);
-    b.AppendU64(c_mobile, s.mobile_browser_hits);
-    b.AppendF64(c_ratio, s.CellularRatio());
-    b.AppendF64(c_du, row.du);
-    b.AppendU64(c_cellular, row.cellular ? 1 : 0);
-  }
-  return b.Finish();
+  std::vector<std::uint64_t> hits, netinfo, cell_l, wifi_l, eth_l, other_l, mobile, cellular;
+  std::vector<double> ratio, du;
+  SizeColumns(n, executor, hits, netinfo, cell_l, wifi_l, eth_l, other_l, mobile, cellular, ratio,
+              du);
+  std::vector<Column> columns = Join(
+      ctx, rows, executor, [&](std::size_t i, const netaddr::Prefix& block, const Origin&) {
+        const dataset::BeaconBlockStats& s = *stats[i];
+        hits[i] = s.hits;
+        netinfo[i] = s.netinfo_hits;
+        cell_l[i] = s.cellular_labels;
+        wifi_l[i] = s.wifi_labels;
+        eth_l[i] = s.ethernet_labels;
+        other_l[i] = s.other_labels;
+        mobile[i] = s.mobile_browser_hits;
+        ratio[i] = s.CellularRatio();
+        du[i] = refs.demand->DemandOf(block);
+        cellular[i] = refs.classified->IsCellular(block) ? 1 : 0;
+      });
+  columns.push_back(U64Column("hits", std::move(hits)));
+  columns.push_back(U64Column("netinfo_hits", std::move(netinfo)));
+  columns.push_back(U64Column("cellular_labels", std::move(cell_l)));
+  columns.push_back(U64Column("wifi_labels", std::move(wifi_l)));
+  columns.push_back(U64Column("ethernet_labels", std::move(eth_l)));
+  columns.push_back(U64Column("other_labels", std::move(other_l)));
+  columns.push_back(U64Column("mobile_browser_hits", std::move(mobile)));
+  columns.push_back(F64Column("ratio", std::move(ratio)));
+  columns.push_back(F64Column("du", std::move(du)));
+  columns.push_back(U64Column("cellular", std::move(cellular)));
+  return Table(std::move(columns));
 }
 
-Table BuildDemandTable(const ArtifactRefs& refs, const JoinContext& ctx,
-                       exec::Executor& executor) {
-  std::vector<netaddr::Prefix> blocks;
-  std::vector<double> dus;
-  refs.demand->ForEach([&](const netaddr::Prefix& block, double du) {
-    blocks.push_back(block);
-    dus.push_back(du);
+Table BuildDemandTable(const JoinContext& ctx, exec::Executor& executor) {
+  const ArtifactRefs& refs = *ctx.refs;
+  const std::size_t n = refs.demand->block_count();
+  std::vector<const netaddr::Prefix*> rows;
+  std::vector<const double*> du_src;
+  rows.reserve(n);
+  du_src.reserve(n);
+  refs.demand->ForEach([&](const netaddr::Prefix& block, const double& d) {
+    rows.push_back(&block);
+    du_src.push_back(&d);
   });
-  const std::vector<JoinedRow> rows = JoinAll(ctx, blocks, executor);
-
-  TableBuilder b;
-  const std::size_t join_cols[5] = {
-      b.AddColumn("block", ColumnType::kStr), b.AddColumn("family", ColumnType::kStr),
-      b.AddColumn("asn", ColumnType::kU64), b.AddColumn("country", ColumnType::kStr),
-      b.AddColumn("continent", ColumnType::kStr)};
-  const std::size_t c_du = b.AddColumn("du", ColumnType::kF64);
-  const std::size_t c_cellular = b.AddColumn("cellular", ColumnType::kU64);
-  const std::size_t c_kept = b.AddColumn("kept", ColumnType::kU64);
-  const std::size_t c_excluded = b.AddColumn("excluded", ColumnType::kU64);
-  const std::size_t c_in_beacon = b.AddColumn("in_beacon", ColumnType::kU64);
-  const std::size_t c_cell_du = b.AddColumn("cell_du", ColumnType::kF64);
-
-  for (std::size_t i = 0; i < rows.size(); ++i) {
-    const JoinedRow& row = rows[i];
-    AppendJoined(b, row, join_cols);
-    b.AppendF64(c_du, dus[i]);
-    b.AppendU64(c_cellular, row.cellular ? 1 : 0);
-    b.AppendU64(c_kept, row.kept ? 1 : 0);
-    b.AppendU64(c_excluded, row.excluded ? 1 : 0);
-    b.AppendU64(c_in_beacon, row.in_beacon ? 1 : 0);
-    // du when this block counts toward a kept AS's cellular demand,
-    // else exactly +0.0 — summing it reproduces the conditional
-    // accumulation in analysis::CountryDemandReport bit-for-bit.
-    b.AppendF64(c_cell_du, row.kept && row.cellular ? dus[i] : 0.0);
-  }
-  return b.Finish();
+  std::vector<std::uint64_t> cellular, kept, excluded, in_beacon;
+  std::vector<double> du, cell_du;
+  SizeColumns(n, executor, du, cellular, kept, excluded, in_beacon, cell_du);
+  std::vector<Column> columns = Join(
+      ctx, rows, executor, [&](std::size_t i, const netaddr::Prefix& block, const Origin& origin) {
+        du[i] = *du_src[i];
+        const bool is_cellular = refs.classified->IsCellular(block);
+        cellular[i] = is_cellular ? 1 : 0;
+        kept[i] = origin.kept ? 1 : 0;
+        excluded[i] = origin.codes.excluded ? 1 : 0;
+        in_beacon[i] = refs.beacons->Find(block) != nullptr ? 1 : 0;
+        // du when this block counts toward a kept AS's cellular demand,
+        // else exactly +0.0 — summing it reproduces the conditional
+        // accumulation in analysis::CountryDemandReport bit-for-bit.
+        cell_du[i] = origin.kept && is_cellular ? du[i] : 0.0;
+      });
+  columns.push_back(F64Column("du", std::move(du)));
+  columns.push_back(U64Column("cellular", std::move(cellular)));
+  columns.push_back(U64Column("kept", std::move(kept)));
+  columns.push_back(U64Column("excluded", std::move(excluded)));
+  columns.push_back(U64Column("in_beacon", std::move(in_beacon)));
+  columns.push_back(F64Column("cell_du", std::move(cell_du)));
+  return Table(std::move(columns));
 }
 
-Table BuildClassifiedTable(const ArtifactRefs& refs, const JoinContext& ctx,
-                           exec::Executor& executor) {
-  std::vector<netaddr::Prefix> blocks;
-  std::vector<double> ratios;
-  for (const auto& [block, ratio] : refs.classified->ratios()) {
-    blocks.push_back(block);
-    ratios.push_back(ratio);
+Table BuildClassifiedTable(const JoinContext& ctx, exec::Executor& executor) {
+  const ArtifactRefs& refs = *ctx.refs;
+  const std::size_t n = refs.classified->ratios().size();
+  std::vector<const netaddr::Prefix*> rows;
+  std::vector<const double*> ratio_src;
+  rows.reserve(n);
+  ratio_src.reserve(n);
+  for (const auto& [block, r] : refs.classified->ratios()) {
+    rows.push_back(&block);
+    ratio_src.push_back(&r);
   }
-  const std::vector<JoinedRow> rows = JoinAll(ctx, blocks, executor);
+  std::vector<std::uint64_t> cellular, kept, excluded;
+  std::vector<double> ratio, du;
+  SizeColumns(n, executor, ratio, du, cellular, kept, excluded);
+  std::vector<Column> columns = Join(
+      ctx, rows, executor, [&](std::size_t i, const netaddr::Prefix& block, const Origin& origin) {
+        ratio[i] = *ratio_src[i];
+        du[i] = refs.demand->DemandOf(block);
+        cellular[i] = refs.classified->IsCellular(block) ? 1 : 0;
+        kept[i] = origin.kept ? 1 : 0;
+        excluded[i] = origin.codes.excluded ? 1 : 0;
+      });
+  columns.push_back(F64Column("ratio", std::move(ratio)));
+  columns.push_back(F64Column("du", std::move(du)));
+  columns.push_back(U64Column("cellular", std::move(cellular)));
+  columns.push_back(U64Column("kept", std::move(kept)));
+  columns.push_back(U64Column("excluded", std::move(excluded)));
+  return Table(std::move(columns));
+}
 
-  TableBuilder b;
-  const std::size_t join_cols[5] = {
-      b.AddColumn("block", ColumnType::kStr), b.AddColumn("family", ColumnType::kStr),
-      b.AddColumn("asn", ColumnType::kU64), b.AddColumn("country", ColumnType::kStr),
-      b.AddColumn("continent", ColumnType::kStr)};
-  const std::size_t c_ratio = b.AddColumn("ratio", ColumnType::kF64);
-  const std::size_t c_du = b.AddColumn("du", ColumnType::kF64);
-  const std::size_t c_cellular = b.AddColumn("cellular", ColumnType::kU64);
-  const std::size_t c_kept = b.AddColumn("kept", ColumnType::kU64);
-  const std::size_t c_excluded = b.AddColumn("excluded", ColumnType::kU64);
-
-  for (std::size_t i = 0; i < rows.size(); ++i) {
-    const JoinedRow& row = rows[i];
-    AppendJoined(b, row, join_cols);
-    b.AppendF64(c_ratio, ratios[i]);
-    b.AppendF64(c_du, row.du);
-    b.AppendU64(c_cellular, row.cellular ? 1 : 0);
-    b.AppendU64(c_kept, row.kept ? 1 : 0);
-    b.AppendU64(c_excluded, row.excluded ? 1 : 0);
+/// LoadBundleFromFiles, plus, for a non-empty `lpm_dir`, the stage
+/// cache's compiled engine for the decoded world adopted by its RIB.
+SnapshotBundle LoadFiles(const fs::path& world_path, const fs::path& datasets_path,
+                         const fs::path& classified_path, const fs::path& lpm_dir,
+                         const BundleOptions& options, exec::Executor& executor) {
+  obs::TraceSpan span("query.load_bundle");
+  SnapshotBundle bundle;
+  bundle.world = LoadArtifact("world", world_path, snapshot::DecodeWorld);
+  if (!lpm_dir.empty()) {
+    // A missing, foreign or damaged entry is the cache's usual miss
+    // (counted; a damaged file is quarantined), and the RIB compiles on
+    // first use instead.
+    snapshot::StageCache cache(lpm_dir);
+    if (auto flat = cache.TryLoadLpm(bundle.world.config())) {
+      (void)bundle.world.rib().AdoptFlat(std::move(*flat));
+    }
   }
-  return b.Finish();
+  auto datasets = LoadArtifact("datasets", datasets_path, snapshot::DecodeDatasets);
+  bundle.beacons = std::move(datasets.first);
+  bundle.demand = std::move(datasets.second);
+  if (classified_path.empty()) {
+    bundle.classified =
+        core::SubnetClassifier(options.classifier).Classify(bundle.beacons, executor);
+  } else {
+    bundle.classified = LoadArtifact("classified", classified_path,
+                                     [&](const snapshot::SnapshotImage& image) {
+                                       return snapshot::DecodeClassified(image, &executor);
+                                     });
+  }
+  FinishBundle(bundle, options, executor);
+  RecordStage("query.load_bundle", span);
+  return bundle;
 }
 
 }  // namespace
@@ -263,22 +328,7 @@ SnapshotBundle LoadBundleFromFiles(const fs::path& world_path,
                                    const fs::path& classified_path,
                                    const BundleOptions& options,
                                    exec::Executor& executor) {
-  obs::TraceSpan span("query.decode");
-  SnapshotBundle bundle;
-  bundle.world = snapshot::DecodeWorld(snapshot::ReadSnapshotFile(world_path));
-  auto datasets = snapshot::DecodeDatasets(snapshot::ReadSnapshotFile(datasets_path));
-  bundle.beacons = std::move(datasets.first);
-  bundle.demand = std::move(datasets.second);
-  if (classified_path.empty()) {
-    bundle.classified =
-        core::SubnetClassifier(options.classifier).Classify(bundle.beacons, executor);
-  } else {
-    bundle.classified =
-        snapshot::DecodeClassified(snapshot::ReadSnapshotFile(classified_path), &executor);
-  }
-  FinishBundle(bundle, options, executor);
-  RecordDecode(span);
-  return bundle;
+  return LoadFiles(world_path, datasets_path, classified_path, {}, options, executor);
 }
 
 SnapshotBundle LoadBundleFromDir(const fs::path& dir, const BundleOptions& options,
@@ -315,18 +365,20 @@ SnapshotBundle LoadBundleFromDir(const fs::path& dir, const BundleOptions& optio
     BadSource("snapshot directory '" + dir.string() +
               "' needs one world.*.snap and one datasets.*.snap");
   }
-  return LoadBundleFromFiles(dir / world, dir / datasets,
-                             classified.empty() ? fs::path{} : dir / classified, options,
-                             executor);
+  // The files are found by pattern rather than by the stage cache's
+  // keys: a directory holds whatever config wrote it, and the query
+  // learns that config only from the world it decodes.
+  return LoadFiles(dir / world, dir / datasets,
+                   classified.empty() ? fs::path{} : dir / classified, dir, options, executor);
 }
 
 SnapshotBundle LoadBundleFromCheckpoint(const fs::path& world_path,
                                         const fs::path& checkpoint_dir,
                                         const BundleOptions& options,
                                         exec::Executor& executor) {
-  obs::TraceSpan span("query.decode");
+  obs::TraceSpan span("query.load_bundle");
   SnapshotBundle bundle;
-  bundle.world = snapshot::DecodeWorld(snapshot::ReadSnapshotFile(world_path));
+  bundle.world = LoadArtifact("world", world_path, snapshot::DecodeWorld);
   {
     stream::CheckpointStore store(
         checkpoint_dir,
@@ -341,7 +393,7 @@ SnapshotBundle LoadBundleFromCheckpoint(const fs::path& world_path,
     bundle.classified = daemon.ExportClassified();
   }
   FinishBundle(bundle, options, executor);
-  RecordDecode(span);
+  RecordStage("query.load_bundle", span);
   return bundle;
 }
 
@@ -372,15 +424,15 @@ TableSet BuildTables(const ArtifactRefs& refs, exec::Executor& executor) {
   if (refs.beacons == nullptr || refs.demand == nullptr || refs.classified == nullptr) {
     BadSource("table join needs beacon, demand and classified artifacts");
   }
-  obs::TraceSpan span("query.decode");
+  obs::TraceSpan span("query.build_tables");
   const JoinContext ctx = MakeJoinContext(refs);
   TableSet tables;
-  tables.beacon = BuildBeaconTable(refs, ctx, executor);
-  tables.demand = BuildDemandTable(refs, ctx, executor);
-  tables.classified = BuildClassifiedTable(refs, ctx, executor);
+  tables.beacon = BuildBeaconTable(ctx, executor);
+  tables.demand = BuildDemandTable(ctx, executor);
+  tables.classified = BuildClassifiedTable(ctx, executor);
   span.set_items(tables.beacon.row_count() + tables.demand.row_count() +
                  tables.classified.row_count());
-  RecordDecode(span);
+  RecordStage("query.build_tables", span);
   return tables;
 }
 

@@ -12,6 +12,7 @@ std::string_view ColumnTypeName(ColumnType t) noexcept {
     case ColumnType::kU64: return "u64";
     case ColumnType::kF64: return "f64";
     case ColumnType::kStr: return "str";
+    case ColumnType::kPrefix: return "prefix";
   }
   return "unknown";
 }
@@ -81,6 +82,10 @@ void TableBuilder::AppendStr(std::size_t col, std::string_view v) {
   }
 }
 
+void TableBuilder::AppendPrefix(std::size_t col, const netaddr::Prefix& v) {
+  columns_.at(col).column.prefix.push_back(v);
+}
+
 Table TableBuilder::Finish() {
   std::vector<Column> columns;
   columns.reserve(columns_.size());
@@ -103,6 +108,7 @@ void RenderTable(const Table& table, util::TableSink& sink) {
         case ColumnType::kU64: row[c] = std::to_string(col.u64[r]); break;
         case ColumnType::kF64: row[c] = util::FormatDouble(col.f64[r], 6); break;
         case ColumnType::kStr: row[c] = std::string(col.Str(r)); break;
+        case ColumnType::kPrefix: row[c] = col.prefix[r].ToString(); break;
       }
     }
     sink.Row(row);

@@ -2,8 +2,10 @@
 // snapshot load (never the live pipeline), must reproduce the
 // analysis::reports numbers byte-for-byte at 1/2/8 threads; corrupt or
 // truncated snapshot input must fail with a categorized SnapshotError /
-// QueryError, never a crash; and a stream checkpoint is a first-class
-// query source whose exports equal the batch artifacts.
+// QueryError, never a crash; a stream checkpoint is a first-class query
+// source whose exports equal the batch artifacts; and a stage-cache
+// directory serves its compiled LPM engine (a damaged one is a cache
+// miss), with one span per step of the open.
 #include "cellspot/query/presets.hpp"
 
 #include <gtest/gtest.h>
@@ -17,13 +19,16 @@
 
 #include "cellspot/analysis/experiment.hpp"
 #include "cellspot/analysis/export.hpp"
+#include "cellspot/analysis/pipeline.hpp"
 #include "cellspot/analysis/reports.hpp"
 #include "cellspot/cdn/event_stream.hpp"
 #include "cellspot/exec/executor.hpp"
 #include "cellspot/faultsim/stream_corruptor.hpp"
+#include "cellspot/obs/metrics.hpp"
 #include "cellspot/query/engine.hpp"
 #include "cellspot/snapshot/serde.hpp"
 #include "cellspot/snapshot/snapshot.hpp"
+#include "cellspot/snapshot/stage_cache.hpp"
 #include "cellspot/stream/checkpoint.hpp"
 #include "cellspot/stream/daemon.hpp"
 #include "cellspot/util/sink.hpp"
@@ -262,6 +267,131 @@ TEST(QuerySource, StreamCheckpointIsAQuerySource) {
   } catch (const QueryError& e) {
     EXPECT_EQ(e.code(), QueryErrorCode::kBadSource);
   }
+}
+
+// ---- a stage-cache directory as the source ----------------------------------
+
+std::uint64_t CounterValue(std::string_view name) {
+  for (const auto& c : obs::MetricsRegistry::Global().Snapshot().counters) {
+    if (c.name == name) return c.value;
+  }
+  return 0;
+}
+
+/// Occurrences and summed items of every span whose leaf is `leaf`,
+/// wherever it nests.
+std::pair<std::uint64_t, std::uint64_t> LeafSpan(std::string_view leaf) {
+  std::uint64_t count = 0;
+  std::uint64_t items = 0;
+  for (const auto& s : obs::MetricsRegistry::Global().Snapshot().spans) {
+    const std::string_view path = s.path;
+    const std::size_t slash = path.rfind('/');
+    if (path.substr(slash == std::string_view::npos ? 0 : slash + 1) != leaf) continue;
+    count += s.count;
+    items += s.items;
+  }
+  return {count, items};
+}
+
+/// A directory written by the pipeline's stage cache: world, datasets,
+/// classified and the compiled lpm entry for the Tiny world.
+fs::path WritePipelineDir(const std::string& name) {
+  const fs::path dir = FreshDir(name);
+  analysis::Pipeline pipeline(
+      {.world = simnet::WorldConfig::Tiny(), .snapshot_dir = dir.string()});
+  (void)pipeline.Run();
+  return dir;
+}
+
+/// Every preset and every joined table, rendered to CSV.
+std::string RenderAll(const SnapshotBundle& bundle, exec::Executor& executor) {
+  const TableSet tables = BuildTables(bundle, executor);
+  std::string out;
+  for (const Preset preset : {Preset::kTable2, Preset::kFig2Cdf, Preset::kCountryShare}) {
+    out += RenderCsv(RunPreset(preset, tables, executor));
+  }
+  for (const char* name : {"beacon", "demand", "classified"}) out += RenderCsv(tables.Find(name));
+  return out;
+}
+
+TEST(QuerySource, OneOpenRecordsOneSpanPerStep) {
+  const fs::path dir = WritePipelineDir("query_source_spans");
+  const snapshot::StageCache cache(dir);
+  const simnet::WorldConfig config = simnet::WorldConfig::Tiny();
+  exec::Executor executor(2);
+
+  obs::MetricsRegistry::Global().ResetForTest();
+  const SnapshotBundle bundle = LoadBundleFromDir(dir, BundleOptions{}, executor);
+  const TableSet tables = BuildTables(bundle, executor);
+
+  for (const char* step : {"query.load_bundle", "query.build_tables"}) {
+    EXPECT_EQ(LeafSpan(step).first, 1u) << step;
+    EXPECT_EQ(obs::MetricsRegistry::Global().latency(step).count(), 1u) << step;
+  }
+  EXPECT_EQ(LeafSpan("query.build_tables").second,
+            tables.beacon.row_count() + tables.demand.row_count() +
+                tables.classified.row_count());
+  EXPECT_EQ(LeafSpan("query.decode").first, 0u);
+  std::uint64_t file_bytes = 0;
+  for (const auto& [artifact, path] :
+       {std::pair{"world", cache.WorldPath(config)},
+        std::pair{"datasets", cache.DatasetsPath(config)},
+        std::pair{"classified", cache.ClassifiedPath(config, {})},
+        std::pair{"lpm", cache.LpmPath(config)}}) {
+    const auto [count, items] = LeafSpan("snapshot.load." + std::string(artifact));
+    EXPECT_EQ(count, 1u) << artifact;
+    EXPECT_EQ(items, fs::file_size(path)) << artifact;
+    file_bytes += fs::file_size(path);
+  }
+  EXPECT_EQ(CounterValue("snapshot.bytes_read"), file_bytes);
+}
+
+TEST(QuerySource, DirectoryAdoptsTheCachedLpmEngine) {
+  const fs::path dir = WritePipelineDir("query_source_adopt");
+  const fs::path lpm = snapshot::StageCache(dir).LpmPath(simnet::WorldConfig::Tiny());
+  ASSERT_TRUE(fs::exists(lpm));
+  exec::Executor executor(2);
+
+  obs::MetricsRegistry::Global().ResetForTest();
+  const std::string adopted = RenderAll(LoadBundleFromDir(dir, BundleOptions{}, executor),
+                                        executor);
+  EXPECT_EQ(CounterValue("lpm.adopt"), 1u);
+  EXPECT_EQ(CounterValue("lpm.build"), 0u);
+  EXPECT_EQ(CounterValue("snapshot.miss"), 0u);
+
+  // The same directory without the lpm entry compiles the RIB instead.
+  const fs::path bare = FreshDir("query_source_adopt_bare");
+  for (const fs::directory_entry& entry : fs::directory_iterator(dir)) {
+    if (entry.path() != lpm) fs::copy_file(entry.path(), bare / entry.path().filename());
+  }
+  obs::MetricsRegistry::Global().ResetForTest();
+  EXPECT_EQ(RenderAll(LoadBundleFromDir(bare, BundleOptions{}, executor), executor), adopted);
+  EXPECT_EQ(CounterValue("lpm.adopt"), 0u);
+  EXPECT_EQ(CounterValue("lpm.build"), 1u);
+  EXPECT_EQ(CounterValue("snapshot.miss.absent"), 1u);
+}
+
+TEST(QuerySource, DamagedLpmEntryFallsBackToCompiling) {
+  const fs::path dir = WritePipelineDir("query_source_damaged_lpm");
+  const fs::path lpm = snapshot::StageCache(dir).LpmPath(simnet::WorldConfig::Tiny());
+  exec::Executor executor(2);
+  const std::string reference =
+      RenderAll(LoadBundleFromDir(dir, BundleOptions{}, executor), executor);
+
+  std::string bytes = ReadBytes(lpm);
+  bytes[bytes.size() / 2] = static_cast<char>(bytes[bytes.size() / 2] ^ 0x5A);
+  WriteBytes(lpm, bytes);
+  obs::MetricsRegistry::Global().ResetForTest();
+  std::string damaged;
+  EXPECT_NO_THROW(damaged = RenderAll(LoadBundleFromDir(dir, BundleOptions{}, executor),
+                                      executor));
+  EXPECT_EQ(damaged, reference);
+  EXPECT_EQ(CounterValue("snapshot.miss.checksum"), 1u);
+  EXPECT_EQ(CounterValue("lpm.adopt"), 0u);
+  EXPECT_EQ(CounterValue("lpm.build"), 1u);
+  // Quarantined in place, as the stage cache does.
+  EXPECT_FALSE(fs::exists(lpm));
+  EXPECT_TRUE(fs::exists(lpm.string() + ".corrupt"));
 }
 
 }  // namespace

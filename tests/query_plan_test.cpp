@@ -1,12 +1,17 @@
 // Expression-syntax parsers: --where / --agg / --order-by text into the
 // typed plan structs, with column/type resolution errors surfaced as
-// categorized QueryErrors.
+// categorized QueryErrors, and `block` literals parsed as prefixes.
 #include "cellspot/query/plan.hpp"
 
 #include <gtest/gtest.h>
 
 #include <string>
 #include <vector>
+
+#include "cellspot/core/classifier.hpp"
+#include "cellspot/exec/executor.hpp"
+#include "cellspot/query/engine.hpp"
+#include "cellspot/query/source.hpp"
 
 namespace cellspot::query {
 namespace {
@@ -154,6 +159,57 @@ TEST(SplitTopLevelFn, RespectsParens) {
   EXPECT_EQ(fields[0], "sum(a)");
   EXPECT_EQ(fields[1], "quantile(b,0.5)");
   EXPECT_EQ(fields[2], "count()");
+}
+
+/// Rows of the joined demand table whose block matches `--where expr`.
+std::size_t CountWhere(const Table& table, const std::string& expr) {
+  Plan plan;
+  plan.filters.push_back(ParseFilterExpr(expr, table));
+  return Engine(table).Run(plan).row_count();
+}
+
+TEST(QueryPlan, BlockLiteralsParseAsPrefixes) {
+  dataset::BeaconDataset beacons;
+  dataset::DemandDataset demand;
+  for (const char* block : {"1.0.0.0/24", "9.0.0.0/24", "2400::/48", "2400:0:a::/48"}) {
+    beacons.Add(netaddr::Prefix::Parse(block), {.hits = 4, .netinfo_hits = 2,
+                                                .cellular_labels = 1, .wifi_labels = 1});
+    demand.Add(netaddr::Prefix::Parse(block), 1.0);
+  }
+  const core::ClassifiedSubnets classified = core::SubnetClassifier().Classify(beacons);
+  ArtifactRefs refs;  // the `cellspot report` shape: no RIB, AS records or filter
+  refs.beacons = &beacons;
+  refs.demand = &demand;
+  refs.classified = &classified;
+  exec::Executor executor(2);
+  const TableSet tables = BuildTables(refs, executor);
+  const Table& t = tables.demand;
+
+  // Any spelling of the same prefix matches its row.
+  EXPECT_EQ(CountWhere(t, "block=2400::/48"), 1u);
+  EXPECT_EQ(CountWhere(t, "block=2400:0000::/48"), 1u);
+  EXPECT_EQ(CountWhere(t, "block=2400:0:0:0:0:0:0:0/48"), 1u);
+  EXPECT_EQ(CountWhere(t, "block=2400:0:a::/48"), 1u);
+  EXPECT_EQ(CountWhere(t, "block=2400:0:A::/48"), 1u);
+  EXPECT_EQ(CountWhere(t, "block = 1.0.0.0/24"), 1u);
+  EXPECT_EQ(CountWhere(t, "block!=1.0.0.0/24"), 3u);
+  EXPECT_EQ(CountWhere(t, "block=1.0.0.0/25"), 0u);
+  EXPECT_EQ(CountWhere(t, "block=2.0.0.0/24"), 0u);
+
+  // Not a prefix, or host bits set: a type mismatch, not zero rows.
+  for (const char* expr : {"block=banana", "block=1.0.0.7/24", "block=2400::1/48",
+                           "block=1.0.0.0", "block=1.0.0.0/33", "block=", "block!=banana"}) {
+    EXPECT_EQ(CodeOf([&] { (void)ParseFilterExpr(expr, t); }), QueryErrorCode::kTypeMismatch)
+        << expr;
+  }
+  // Ordering comparisons stay rejected, as for strings.
+  for (const char* expr : {"block<1.0.0.0/24", "block<=1.0.0.0/24", "block>1.0.0.0/24",
+                           "block>=1.0.0.0/24"}) {
+    EXPECT_EQ(CodeOf([&] { (void)ParseFilterExpr(expr, t); }), QueryErrorCode::kTypeMismatch)
+        << expr;
+  }
+  EXPECT_EQ(CodeOf([&] { (void)ParseAggregateExpr("sum(block)", t); }),
+            QueryErrorCode::kTypeMismatch);
 }
 
 TEST(SplitTopLevelFn, DropsEmptyFieldsAndTrims) {

@@ -1,7 +1,7 @@
 // Columnar table invariants and engine core semantics on synthetic
 // data: dictionary encoding, every filter operator, group-by aggregates,
-// order/limit, projection, categorized plan errors, and byte-identical
-// output at 1/2/8 threads.
+// order/limit, projection, categorized plan errors, the prefix column
+// through every stage, and byte-identical output at 1/2/8 threads.
 #include "cellspot/query/engine.hpp"
 
 #include <gtest/gtest.h>
@@ -11,6 +11,8 @@
 #include <vector>
 
 #include "cellspot/exec/executor.hpp"
+#include "cellspot/netaddr/prefix.hpp"
+#include "cellspot/query/plan.hpp"
 #include "cellspot/query/table.hpp"
 #include "cellspot/util/sink.hpp"
 
@@ -236,6 +238,131 @@ TEST(EngineSelect, StableSortKeepsPriorOrderOnTies) {
   EXPECT_EQ(id->u64[1], 3u);
   EXPECT_EQ(id->u64[2], 6u);
   EXPECT_EQ(id->u64[3], 9u);
+}
+
+// ---- the prefix column ------------------------------------------------------
+
+/// block (prefix) + id (u64): v4 and v6 rows out of address order, with
+/// 10.0.0.0/24 twice (ids 0 and 3) for ties and groups.
+Table PrefixTable() {
+  TableBuilder b;
+  const std::size_t block = b.AddColumn("block", ColumnType::kPrefix);
+  const std::size_t id = b.AddColumn("id", ColumnType::kU64);
+  const char* blocks[] = {"10.0.0.0/24", "2400:cb00::/48", "9.0.0.0/24",
+                          "10.0.0.0/24", "2001:db8::/48",  "192.168.1.0/24"};
+  for (std::size_t i = 0; i < std::size(blocks); ++i) {
+    b.AppendPrefix(block, netaddr::Prefix::Parse(blocks[i]));
+    b.AppendU64(id, i);
+  }
+  return b.Finish();
+}
+
+std::vector<std::uint64_t> Ids(const Table& t) { return t.FindColumn("id")->u64; }
+
+std::vector<std::string> Blocks(const Table& t) {
+  std::vector<std::string> out;
+  for (const netaddr::Prefix& p : t.FindColumn("block")->prefix) out.push_back(p.ToString());
+  return out;
+}
+
+TEST(PrefixColumn, EqualityFiltersOnBothFamilies) {
+  const Table t = PrefixTable();
+  const Engine engine(t);
+  const auto ids = [&](CompareOp op, const char* literal) {
+    Plan plan;
+    plan.filters.push_back({"block", op, Value::Prefix(netaddr::Prefix::Parse(literal))});
+    return Ids(engine.Run(plan));
+  };
+  EXPECT_EQ(ids(CompareOp::kEq, "10.0.0.0/24"), (std::vector<std::uint64_t>{0, 3}));
+  EXPECT_EQ(ids(CompareOp::kNe, "10.0.0.0/24"), (std::vector<std::uint64_t>{1, 2, 4, 5}));
+  EXPECT_EQ(ids(CompareOp::kEq, "2400:cb00::/48"), (std::vector<std::uint64_t>{1}));
+  EXPECT_EQ(ids(CompareOp::kNe, "2400:cb00::/48"), (std::vector<std::uint64_t>{0, 2, 3, 4, 5}));
+  // Same bits, other family or length: no match.
+  EXPECT_TRUE(ids(CompareOp::kEq, "10.0.0.0/23").empty());
+  EXPECT_TRUE(ids(CompareOp::kEq, "a00::/24").empty());
+}
+
+TEST(PrefixColumn, OrderingFiltersAndAggregatesAreTypeMismatches) {
+  const Table t = PrefixTable();
+  const Engine engine(t);
+  Plan plan;
+  plan.filters.push_back(
+      {"block", CompareOp::kLt, Value::Prefix(netaddr::Prefix::Parse("10.0.0.0/24"))});
+  EXPECT_EQ(CodeOf([&] { (void)engine.Run(plan); }), QueryErrorCode::kTypeMismatch);
+  EXPECT_EQ(CodeOf([&] { (void)ParseFilterExpr("block<10.0.0.0/24", t); }),
+            QueryErrorCode::kTypeMismatch);
+  // A literal of the wrong type against the prefix column.
+  plan.filters[0] = {"block", CompareOp::kEq, Value::Str("10.0.0.0/24")};
+  EXPECT_EQ(CodeOf([&] { (void)engine.Run(plan); }), QueryErrorCode::kTypeMismatch);
+
+  Plan agg;
+  agg.aggregates.push_back({AggKind::kSum, "block", 0.5, ""});
+  EXPECT_EQ(CodeOf([&] { (void)engine.Run(agg); }), QueryErrorCode::kTypeMismatch);
+  EXPECT_EQ(CodeOf([&] { (void)ParseAggregateExpr("sum(block)", t); }),
+            QueryErrorCode::kTypeMismatch);
+}
+
+TEST(PrefixColumn, GroupByKeepsFirstAppearanceOrder) {
+  const Table t = PrefixTable();
+  Plan plan;
+  plan.group_by = {"block"};
+  plan.aggregates.push_back({AggKind::kCount, "", 0.5, "n"});
+  plan.aggregates.push_back({AggKind::kSum, "id", 0.5, "ids"});
+  for (const unsigned threads : {1u, 2u, 8u}) {
+    exec::Executor executor(threads);
+    const Table out = Engine(t, executor).Run(plan);
+    ASSERT_EQ(out.FindColumn("block")->type, ColumnType::kPrefix);
+    EXPECT_EQ(Blocks(out), (std::vector<std::string>{"10.0.0.0/24", "2400:cb00::/48",
+                                                     "9.0.0.0/24", "2001:db8::/48",
+                                                     "192.168.1.0/24"}));
+    EXPECT_EQ(out.FindColumn("n")->u64, (std::vector<std::uint64_t>{2, 1, 1, 1, 1}));
+    EXPECT_EQ(out.FindColumn("ids")->f64, (std::vector<double>{3, 1, 2, 4, 5}));
+  }
+}
+
+TEST(PrefixColumn, ProjectionAndLimit) {
+  const Table t = PrefixTable();
+  Plan plan;
+  plan.columns = {"block"};
+  plan.filters.push_back({"id", CompareOp::kGe, Value::U64(2)});
+  plan.limit = 2;
+  const Table out = Engine(t).Run(plan);
+  ASSERT_EQ(out.column_count(), 1u);
+  EXPECT_EQ(out.column(0).type, ColumnType::kPrefix);
+  EXPECT_EQ(Blocks(out), (std::vector<std::string>{"9.0.0.0/24", "10.0.0.0/24"}));
+}
+
+TEST(PrefixColumn, OrderByIsAddressOrderWithStableTies) {
+  const Table t = PrefixTable();
+  Plan plan;
+  plan.order_by.push_back(ParseOrderByExpr("block"));
+  Table out = Engine(t).Run(plan);
+  // 9 before 10 (text order would put "10." first), v4 before v6.
+  EXPECT_EQ(Blocks(out), (std::vector<std::string>{"9.0.0.0/24", "10.0.0.0/24", "10.0.0.0/24",
+                                                   "192.168.1.0/24", "2001:db8::/48",
+                                                   "2400:cb00::/48"}));
+  EXPECT_EQ(Ids(out), (std::vector<std::uint64_t>{2, 0, 3, 5, 4, 1}));
+
+  plan.order_by[0] = ParseOrderByExpr("block:desc");
+  out = Engine(t).Run(plan);
+  EXPECT_EQ(Ids(out), (std::vector<std::uint64_t>{1, 4, 5, 0, 3, 2}));
+}
+
+TEST(PrefixColumn, EverySinkPrintsPrefixToString) {
+  const Table t = PrefixTable();
+  for (const auto format :
+       {util::TableFormat::kCsv, util::TableFormat::kJson, util::TableFormat::kHuman}) {
+    std::stringstream out;
+    const auto sink = util::MakeTableSink(format, out);
+    RenderTable(t, *sink);
+    const std::string text = out.str();
+    for (const netaddr::Prefix& p : t.FindColumn("block")->prefix) {
+      EXPECT_NE(text.find(p.ToString()), std::string::npos) << p.ToString();
+    }
+  }
+  EXPECT_EQ(RenderCsv(t),
+            "block,id\n10.0.0.0/24,0\n2400:cb00::/48,1\n9.0.0.0/24,2\n10.0.0.0/24,3\n"
+            "2001:db8::/48,4\n192.168.1.0/24,5\n");
 }
 
 TEST(EngineDeterminism, ByteIdenticalAtAnyThreadCount) {

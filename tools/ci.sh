@@ -10,7 +10,7 @@
 #                            # trajectory (--update-baseline blesses a new one)
 #   tools/ci.sh shard        # sharded aggregation engine, ASan then TSan
 #   tools/ci.sh snapshot     # snapshot readers + position index under ASan,
-#                            # query source under TSan
+#                            # query source and table join under TSan
 #   tools/ci.sh stream-chaos # streaming chaos harness under ASan and TSan
 #   tools/ci.sh query        # columnar query engine tests under ASan
 #   tools/ci.sh lpm          # flat LPM engine differential + consumers, ASan then TSan
@@ -162,8 +162,9 @@ run_shard() {
 
 # The columnar query engine under ASan+UBSan: expression parsers fed
 # hostile text, preset goldens at several thread counts, the corrupt
-# snapshot matrix, and the checkpoint-as-source path, plus a CLI round
-# proving the subcommand's exit-code contract (exit 5 on bad input).
+# snapshot matrix, and the checkpoint-as-source path, plus CLI rounds
+# over the prefix-typed block column and proving the subcommand's
+# exit-code contract (exit 5 on bad input).
 run_query() {
   local dir="build-asan"
   cmake -B "$dir" -S . -DCELLSPOT_SANITIZE=address
@@ -174,14 +175,22 @@ run_query() {
   "$dir/tests/query_engine_test"
   local snaps
   snaps=$(mktemp -d)
+  local cli=("$dir/tools/cellspot" query --snapshot-dir "$snaps")
   "$dir/tools/cellspot" generate --tiny --snapshot-dir "$snaps" --out "$snaps"
-  "$dir/tools/cellspot" query --snapshot-dir "$snaps" --preset table2 >/dev/null
-  "$dir/tools/cellspot" query --snapshot-dir "$snaps" --where 'country=DE' \
+  "${cli[@]}" --preset table2 >/dev/null
+  "${cli[@]}" --where 'country=DE' \
     --group-by asn --agg 'sum(du),count()' --top 5 --format json >/dev/null
-  local rc=0
-  "$dir/tools/cellspot" query --snapshot-dir "$snaps" --where 'nope=1' \
-    >/dev/null 2>&1 || rc=$?
-  [[ "$rc" == 5 ]] || { echo "ci.sh: expected exit 5 on unknown column, got $rc" >&2; exit 1; }
+  local first rows
+  first=$("${cli[@]}" --select block --limit 1 --format csv | sed -n 2p)
+  rows=$("${cli[@]}" --where "block=$first" --format csv | tail -n +2 | wc -l)
+  [[ "$rows" == 1 ]] || { echo "ci.sh: block=$first matched $rows rows, want 1" >&2; exit 1; }
+  "${cli[@]}" --order-by block --limit 5 >/dev/null
+  local expr rc
+  for expr in 'nope=1' 'block=banana' 'block<1.0.0.0/24'; do
+    rc=0
+    "${cli[@]}" --where "$expr" >/dev/null 2>&1 || rc=$?
+    [[ "$rc" == 5 ]] || { echo "ci.sh: expected exit 5 on --where '$expr', got $rc" >&2; exit 1; }
+  done
   rm -rf "$snaps"
 }
 
@@ -273,8 +282,9 @@ stream_queue_test"
 # exposed to hostile bytes — plus the position index every decoded map
 # and world index is built on, where an off-by-one in the probe loop or
 # the position arithmetic shows up as an out-of-bounds read. Then the
-# query source under TSan with a forced multi-worker pool, since it
-# decodes classified shards on its executor.
+# query source and table join under TSan with a forced multi-worker
+# pool, since the source decodes classified shards on its executor and
+# the join writes every column from executor workers.
 run_snapshot() {
   local targets="snapshot_roundtrip_test snapshot_corruption_test snapshot_cache_test \
 util_parse_test util_stable_map_test stream_checkpoint_test stream_daemon_test \
@@ -286,10 +296,12 @@ query_engine_test"
   for t in $targets; do "$dir/tests/$t"; done
 
   dir="build-tsan"
+  local tsan_targets="query_engine_test query_table_test query_join_differential_test"
   cmake -B "$dir" -S . -DCELLSPOT_SANITIZE=thread
-  cmake --build "$dir" -j "$jobs" --target query_engine_test
+  # shellcheck disable=SC2086
+  cmake --build "$dir" -j "$jobs" --target $tsan_targets
   local tsan_opts="suppressions=$PWD/tools/tsan.supp halt_on_error=1"
-  TSAN_OPTIONS="$tsan_opts" CELLSPOT_THREADS=4 "$dir/tests/query_engine_test"
+  for t in $tsan_targets; do TSAN_OPTIONS="$tsan_opts" CELLSPOT_THREADS=4 "$dir/tests/$t"; done
 }
 
 # The streaming daemon's chaos harness under both sanitizers. The gtest
