@@ -1,11 +1,13 @@
-// FlatLpm vs PrefixTrie lookup microbenchmark.
+// FlatLpm vs reference-trie lookup microbenchmark.
 //
 // Setup (untimed): a seeded 120k-prefix table — same clumpy nested/
 // overlapping mix as lpm_differential_test — compiled once into a
 // FlatLpm, plus a 400k-address probe set biased toward prefix
 // boundaries. Each rep then runs the same probes three ways: per-item
-// PrefixTrie::LongestMatch, single-thread FlatLpm::LongestMatchBatch,
-// and the executor-chunked batch the classify/aggregate stages drive.
+// LongestMatch on the binary trie of tests/support (the lookup path
+// before FlatLpm), single-thread FlatLpm::LongestMatchBatch, and one
+// batch per subspan inside executor.ParallelFor, the shape the
+// classify/aggregate stages drive.
 // The printed speedup (trie / flat batch) is the acceptance number:
 // it must stay >= 2x on this >= 100k-prefix world. A Tiny-world
 // pipeline run supplies end-to-end classify-stage timings so the
@@ -15,15 +17,16 @@
 #include <cstdint>
 #include <cstdio>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "bench_common.hpp"
 #include "cellspot/analysis/pipeline.hpp"
 #include "cellspot/exec/executor.hpp"
 #include "cellspot/netaddr/flat_lpm.hpp"
-#include "cellspot/netaddr/prefix_trie.hpp"
 #include "cellspot/obs/metrics.hpp"
 #include "cellspot/util/rng.hpp"
+#include "support/reference_prefix_trie.hpp"
 
 namespace {
 
@@ -110,7 +113,7 @@ double MsSince(std::chrono::steady_clock::time_point start) {
 int main(int argc, char** argv) {
   util::Rng rng(20170406);  // paper-vintage seed; fixed so reps are comparable
   std::vector<Prefix> prefixes;
-  netaddr::PrefixTrie<std::uint32_t> trie;
+  test_support::PrefixTrie<std::uint32_t> trie;
   // The clumpy generator repeats itself, so top up until the table
   // really holds kPrefixCount UNIQUE prefixes (the acceptance floor).
   while (trie.size() < kPrefixCount) {
@@ -120,7 +123,9 @@ int main(int argc, char** argv) {
       prefixes.push_back(p);
     }
   }
-  const auto flat = netaddr::FlatLpm<std::uint32_t>::Build(trie);
+  std::vector<std::pair<Prefix, std::uint32_t>> entries;
+  trie.ForEach([&](const Prefix& p, std::uint32_t v) { entries.emplace_back(p, v); });
+  const auto flat = netaddr::FlatLpm<std::uint32_t>::Build(entries);
   const std::vector<IpAddress> probes = BuildProbes(rng, prefixes, kProbeCount);
 
   // End-to-end anchor: a Tiny-world pipeline run whose classify and
@@ -155,14 +160,15 @@ int main(int argc, char** argv) {
       if (v != 0) ++flat_hits;
     }
 
-    // Executor-chunked batch, the shape the classify stage drives.
+    // One batch per executor chunk, the shape the classify stage drives.
     std::vector<std::uint32_t> chunked(probes.size());
+    const std::span<const IpAddress> in(probes);
+    const std::span<std::uint32_t> chunked_out(chunked);
     start = std::chrono::steady_clock::now();
-    flat.LongestMatchBatchChunked(
-        probes, std::span<std::uint32_t>(chunked), 0u, kGrain,
-        [&](std::size_t n, std::size_t grain, auto&& body) {
-          executor.ParallelFor(n, grain, body);
-        });
+    executor.ParallelFor(probes.size(), kGrain, [&](std::size_t begin, std::size_t end) {
+      flat.LongestMatchBatch(in.subspan(begin, end - begin),
+                             chunked_out.subspan(begin, end - begin), 0u);
+    });
     const double chunked_ms = MsSince(start);
 
     if (flat_hits != trie_hits || chunked != out) {
@@ -176,7 +182,7 @@ int main(int argc, char** argv) {
     obs::MetricsRegistry::Global().latency("lpm.bench.flat").Record(flat_ms);
     obs::MetricsRegistry::Global().latency("lpm.bench.chunked").Record(chunked_ms);
 
-    bench::PrintHeader("lpm_lookup", "FlatLpm batch vs PrefixTrie per-item lookups",
+    bench::PrintHeader("lpm_lookup", "FlatLpm batch vs reference-trie per-item lookups",
                        pipe_config.world);
     std::printf("table: %zu prefixes -> %zu packed segments (%.1f KiB payload)\n",
                 flat.size(), flat.segment_count(),

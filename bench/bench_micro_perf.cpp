@@ -1,5 +1,5 @@
 // Microbenchmarks of the pipeline's hot paths (google-benchmark):
-// prefix-trie longest-prefix-match, block classification, beacon log
+// routing-table build and longest-prefix match, block classification, beacon log
 // parsing, and per-block aggregate generation. These are not paper
 // experiments; they bound the cost of scaling the world up.
 #include <benchmark/benchmark.h>
@@ -11,7 +11,6 @@
 #include "cellspot/core/aggregation.hpp"
 #include "cellspot/core/cellular_map.hpp"
 #include "cellspot/core/classifier.hpp"
-#include "cellspot/netaddr/prefix_trie.hpp"
 #include "cellspot/simnet/world.hpp"
 
 namespace {
@@ -39,18 +38,23 @@ void BM_TrieLongestMatch(benchmark::State& state) {
 }
 BENCHMARK(BM_TrieLongestMatch);
 
-void BM_TrieInsert(benchmark::State& state) {
+void BM_RoutingTableBuild(benchmark::State& state) {
+  // 256 /24 announcements in a scrambled order, so the constructor's
+  // stable sort runs as on the cold path (a decoded table arrives
+  // sorted and pays only the order check).
+  std::vector<asdb::RoutingTable::Route> announcements;
+  const auto parent = netaddr::Prefix::Parse("10.0.0.0/16");
+  for (std::uint64_t i = 0; i < 256; ++i) {
+    const std::uint64_t b = (i * 97) % 256;
+    announcements.emplace_back(netaddr::NthBlock(parent, b), static_cast<asdb::AsNumber>(b + 1));
+  }
   for (auto _ : state) {
-    netaddr::PrefixTrie<int> trie;
-    const auto parent = netaddr::Prefix::Parse("10.0.0.0/16");
-    for (std::uint64_t b = 0; b < 256; ++b) {
-      trie.Insert(netaddr::NthBlock(parent, b), static_cast<int>(b));
-    }
-    benchmark::DoNotOptimize(trie);
+    const asdb::RoutingTable rib(announcements);
+    benchmark::DoNotOptimize(rib.entries().data());
   }
   state.SetItemsProcessed(state.iterations() * 256);
 }
-BENCHMARK(BM_TrieInsert);
+BENCHMARK(BM_RoutingTableBuild);
 
 void BM_ClassifyDataset(benchmark::State& state) {
   static const dataset::BeaconDataset beacons =

@@ -1,5 +1,6 @@
 #include "cellspot/asdb/as_database.hpp"
 
+#include <algorithm>
 #include <chrono>
 #include <stdexcept>
 #include <utility>
@@ -45,22 +46,35 @@ const AsRecord* AsDatabase::Find(AsNumber asn) const noexcept {
   return pos == index_.npos ? nullptr : &records_[pos];
 }
 
-RoutingTable::RoutingTable(const RoutingTable& other)
-    : trie_(other.trie_), by_asn_(other.by_asn_) {
+RoutingTable::RoutingTable(std::vector<Route> announcements)
+    : routes_(std::move(announcements)) {
+  const auto by_prefix = [](const Route& a, const Route& b) { return a.first < b.first; };
+  if (!std::ranges::is_sorted(routes_, by_prefix)) std::ranges::stable_sort(routes_, by_prefix);
+  // Announcements of one prefix are now adjacent in input order; the
+  // last of each run wins.
+  std::size_t kept = 0;
+  for (const Route& route : routes_) {
+    if (kept > 0 && routes_[kept - 1].first == route.first) --kept;
+    routes_[kept++] = route;
+  }
+  routes_.resize(kept);
+}
+
+RoutingTable::RoutingTable(const RoutingTable& other) : routes_(other.routes_) {
   // The compiled engine is a cache; a copy rebuilds its own on demand.
 }
 
 RoutingTable& RoutingTable::operator=(const RoutingTable& other) {
   if (this == &other) return *this;
-  trie_ = other.trie_;
-  by_asn_ = other.by_asn_;
-  InvalidateFlat();
+  routes_ = other.routes_;
+  flat_ptr_.store(nullptr, std::memory_order_release);
+  flat_.reset();
   return *this;
 }
 
 RoutingTable::RoutingTable(RoutingTable&& other) noexcept
-    : trie_(std::move(other.trie_)), by_asn_(std::move(other.by_asn_)) {
-  // Like every mutation, moving is not thread-safe against concurrent
+    : routes_(std::move(other.routes_)) {
+  // Like every assignment, moving is not thread-safe against concurrent
   // lookups on `other`; no lock needed to transfer its cache.
   flat_ = std::move(other.flat_);
   flat_ptr_.store(flat_ ? flat_.get() : nullptr, std::memory_order_release);
@@ -69,31 +83,11 @@ RoutingTable::RoutingTable(RoutingTable&& other) noexcept
 
 RoutingTable& RoutingTable::operator=(RoutingTable&& other) noexcept {
   if (this == &other) return *this;
-  trie_ = std::move(other.trie_);
-  by_asn_ = std::move(other.by_asn_);
+  routes_ = std::move(other.routes_);
   flat_ = std::move(other.flat_);
   flat_ptr_.store(flat_ ? flat_.get() : nullptr, std::memory_order_release);
   other.flat_ptr_.store(nullptr, std::memory_order_release);
   return *this;
-}
-
-void RoutingTable::Announce(const netaddr::Prefix& prefix, AsNumber asn) {
-  const AsNumber* existing = trie_.Exact(prefix);
-  if (existing != nullptr && *existing != asn) {
-    // Withdraw from the previous origin's reverse index; drop the key
-    // outright when its last prefix goes, so heavy announce churn does
-    // not strand empty vectors (and origin_count() stays truthful).
-    const auto it = by_asn_.find(*existing);
-    if (it != by_asn_.end()) {
-      std::erase(it->second, prefix);
-      if (it->second.empty()) by_asn_.erase(it);
-    }
-  }
-  if (existing == nullptr || *existing != asn) {
-    by_asn_[asn].push_back(prefix);
-  }
-  trie_.Insert(prefix, asn);
-  InvalidateFlat();
 }
 
 std::optional<AsNumber> RoutingTable::OriginOf(const netaddr::IpAddress& addr) const {
@@ -116,7 +110,7 @@ const RoutingTable::FlatRib& RoutingTable::Flat() const {
   if (!flat_) {
     // cellspot-lint: allow(L003) build wall-clock is telemetry; no output depends on it
     const auto start = std::chrono::steady_clock::now();
-    flat_ = std::make_shared<const FlatRib>(FlatRib::Build(trie_));
+    flat_ = std::make_shared<const FlatRib>(FlatRib::Build(routes_));
     // cellspot-lint: allow(L003) build wall-clock is telemetry; no output depends on it
     const auto elapsed = std::chrono::steady_clock::now() - start;
     auto& reg = obs::MetricsRegistry::Global();
@@ -130,29 +124,12 @@ const RoutingTable::FlatRib& RoutingTable::Flat() const {
 }
 
 bool RoutingTable::AdoptFlat(FlatRib flat) const {
-  if (flat.size() != trie_.size()) return false;
+  if (flat.size() != routes_.size()) return false;
   std::scoped_lock lock(flat_mu_);
   flat_ = std::make_shared<const FlatRib>(std::move(flat));
   flat_ptr_.store(flat_.get(), std::memory_order_release);
   obs::MetricsRegistry::Global().counter("lpm.adopt").Increment();
   return true;
-}
-
-void RoutingTable::InvalidateFlat() {
-  flat_ptr_.store(nullptr, std::memory_order_release);
-  flat_.reset();
-}
-
-std::optional<AsNumber> RoutingTable::ExactOrigin(const netaddr::Prefix& prefix) const {
-  const AsNumber* found = trie_.Exact(prefix);
-  if (found == nullptr) return std::nullopt;
-  return *found;
-}
-
-std::vector<netaddr::Prefix> RoutingTable::PrefixesOf(AsNumber asn) const {
-  const auto it = by_asn_.find(asn);
-  if (it == by_asn_.end()) return {};
-  return it->second;
 }
 
 }  // namespace cellspot::asdb

@@ -8,13 +8,12 @@
 #include <mutex>
 #include <optional>
 #include <span>
-#include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "cellspot/asdb/as_record.hpp"
 #include "cellspot/netaddr/flat_lpm.hpp"
 #include "cellspot/netaddr/prefix.hpp"
-#include "cellspot/netaddr/prefix_trie.hpp"
 #include "cellspot/util/ordered_mutex.hpp"
 #include "cellspot/util/stable_map.hpp"
 
@@ -44,27 +43,30 @@ class AsDatabase {
 
 /// Announced-prefix table with longest-prefix-match origin lookup.
 ///
-/// Every longest-prefix lookup (OriginOf, OriginOfBatch) runs against
-/// the compiled netaddr::FlatLpm — built lazily on first use (Flat()) or
-/// adopted precompiled from a memory-mapped snapshot (AdoptFlat). The
-/// radix trie holds the announcements: it answers exact-prefix queries
-/// and size(), and it is the input the engine compiles from. Announce()
-/// (not thread-safe, like all mutation) invalidates the compiled
-/// engine; concurrent const lookups are safe.
+/// The routes are one immutable vector of (prefix, origin) in Prefix
+/// order, fixed at construction. Every longest-prefix lookup (OriginOf,
+/// OriginOfBatch) runs against the compiled netaddr::FlatLpm, built
+/// from that vector in one sweep on first use (Flat()) or adopted
+/// precompiled from a memory-mapped snapshot (AdoptFlat). Concurrent
+/// const lookups are safe.
 class RoutingTable {
  public:
   using FlatRib = netaddr::FlatLpm<AsNumber>;
+  using Route = std::pair<netaddr::Prefix, AsNumber>;
 
   RoutingTable() = default;
+
+  /// The table of `announcements`, in any order. A later announcement
+  /// of the same prefix overwrites an earlier one, mimicking a
+  /// most-recent-RIB view. Sorts only when the input is not already in
+  /// Prefix order.
+  explicit RoutingTable(std::vector<Route> announcements);
+
   RoutingTable(const RoutingTable& other);
   RoutingTable& operator=(const RoutingTable& other);
   RoutingTable(RoutingTable&& other) noexcept;
   RoutingTable& operator=(RoutingTable&& other) noexcept;
   ~RoutingTable() = default;
-
-  /// Announce `prefix` as originated by `asn` (later announcements of the
-  /// same prefix overwrite, mimicking a most-recent-RIB view).
-  void Announce(const netaddr::Prefix& prefix, AsNumber asn);
 
   /// Origin AS of the most specific covering announcement, if any,
   /// from the compiled engine (built on first use).
@@ -76,26 +78,22 @@ class RoutingTable {
   void OriginOfBatch(std::span<const netaddr::IpAddress> addrs,
                      std::span<AsNumber> out) const;
 
-  /// Origin by exact prefix.
-  [[nodiscard]] std::optional<AsNumber> ExactOrigin(const netaddr::Prefix& prefix) const;
+  /// Every route, one per distinct prefix, in Prefix order.
+  [[nodiscard]] std::span<const Route> entries() const noexcept { return routes_; }
 
-  /// All prefixes announced by `asn` (copied out; used by reports).
-  [[nodiscard]] std::vector<netaddr::Prefix> PrefixesOf(AsNumber asn) const;
-
-  [[nodiscard]] std::size_t size() const noexcept { return trie_.size(); }
-
-  /// Number of distinct origins with at least one announced prefix.
-  [[nodiscard]] std::size_t origin_count() const noexcept { return by_asn_.size(); }
+  [[nodiscard]] std::size_t size() const noexcept { return routes_.size(); }
 
   /// The compiled flat engine, building (and caching) it on first use.
-  /// Logically const: the engine is a cache over the trie.
+  /// Logically const: the engine is a cache over the routes.
   [[nodiscard]] const FlatRib& Flat() const;
 
   /// Adopt a precompiled engine — the warm-start path, typically a
-  /// zero-copy view into a memory-mapped snapshot. Returns false (and
-  /// keeps the current state) when the engine's prefix count disagrees
-  /// with this table, so a stale or foreign snapshot can never serve
-  /// wrong origins.
+  /// zero-copy view into a memory-mapped snapshot. The only check is
+  /// the prefix count: returns false (and keeps the current state) when
+  /// the engine holds a different number of prefixes than this table.
+  /// An engine with the same count but other routes is adopted, so the
+  /// caller must key it to the same RIB (the stage cache keys it by the
+  /// world config that generated both).
   bool AdoptFlat(FlatRib flat) const;
 
   /// True once a compiled engine is serving lookups.
@@ -104,10 +102,7 @@ class RoutingTable {
   }
 
  private:
-  void InvalidateFlat();
-
-  netaddr::PrefixTrie<AsNumber> trie_;
-  std::unordered_map<AsNumber, std::vector<netaddr::Prefix>> by_asn_;
+  std::vector<Route> routes_;
 
   // Compiled-engine cache: flat_ owns, flat_ptr_ publishes (release on
   // store, acquire on load) so hot-path readers skip the mutex.

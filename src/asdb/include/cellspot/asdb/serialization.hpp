@@ -20,12 +20,12 @@ void SaveAsDatabaseCsv(const AsDatabase& db, std::ostream& out);
 [[nodiscard]] AsDatabase LoadAsDatabaseCsv(std::istream& in,
                                            const util::LoadOptions& options = {});
 
-/// prefix,asn — one announcement per row.
-void SaveRoutingTableCsv(const RoutingTable& rib, const AsDatabase& db,
-                         std::ostream& out);
+/// prefix,asn — one route per row, in the table's Prefix order.
+void SaveRoutingTableCsv(const RoutingTable& rib, std::ostream& out);
 
-/// Inverse of SaveRoutingTableCsv. Same ingest-policy contract as
-/// LoadAsDatabaseCsv.
+/// Inverse of SaveRoutingTableCsv; rows may come in any order, and a
+/// later row for the same prefix overwrites an earlier one. Same
+/// ingest-policy contract as LoadAsDatabaseCsv.
 [[nodiscard]] RoutingTable LoadRoutingTableCsv(std::istream& in,
                                                const util::LoadOptions& options = {});
 

@@ -2,6 +2,8 @@
 
 #include <istream>
 #include <ostream>
+#include <utility>
+#include <vector>
 
 #include "cellspot/util/csv.hpp"
 #include "cellspot/util/error.hpp"
@@ -110,21 +112,18 @@ AsDatabase LoadAsDatabaseCsv(std::istream& in, const util::LoadOptions& options)
   return LoadAsDatabaseCsvImpl(in, scoped.get());
 }
 
-void SaveRoutingTableCsv(const RoutingTable& rib, const AsDatabase& db,
-                         std::ostream& out) {
+void SaveRoutingTableCsv(const RoutingTable& rib, std::ostream& out) {
   util::CsvWriter writer(out);
   writer.WriteRow({"prefix", "asn"});
-  for (const AsRecord& record : db.records()) {
-    for (const netaddr::Prefix& prefix : rib.PrefixesOf(record.asn)) {
-      writer.WriteRow({prefix.ToString(), std::to_string(record.asn)});
-    }
+  for (const auto& [prefix, asn] : rib.entries()) {
+    writer.WriteRow({prefix.ToString(), std::to_string(asn)});
   }
 }
 
 namespace {
 
 RoutingTable LoadRoutingTableCsvImpl(std::istream& in, util::IngestReport& report) {
-  RoutingTable rib;
+  std::vector<RoutingTable::Route> announcements;
   bool saw_header = false;
   util::IngestLines(in, report, [&](std::size_t, std::string_view line) {
     const auto row = util::ParseCsvLine(line);
@@ -149,13 +148,13 @@ RoutingTable LoadRoutingTableCsvImpl(std::istream& in, util::IngestReport& repor
       throw ParseError("RIB CSV: bad asn '" + row[1] + "'",
                        ParseErrorCategory::kBadNumber);
     }
-    rib.Announce(netaddr::Prefix::Parse(row[0]), *asn);
+    announcements.emplace_back(netaddr::Prefix::Parse(row[0]), *asn);
   });
   if (!saw_header) {
     throw ParseError("RIB CSV: missing header (empty input)",
                      ParseErrorCategory::kBadHeader);
   }
-  return rib;
+  return RoutingTable(std::move(announcements));
 }
 
 }  // namespace

@@ -6,7 +6,6 @@
 #include <stdexcept>
 
 #include "cellspot/core/aggregation.hpp"
-#include "cellspot/netaddr/prefix_trie.hpp"
 #include "cellspot/util/strings.hpp"
 
 namespace cellspot::core {
@@ -15,16 +14,14 @@ CellularMap::CellularMap(std::vector<netaddr::Prefix> prefixes)
     : prefixes_(std::move(prefixes)) {
   std::sort(prefixes_.begin(), prefixes_.end());
   prefixes_.erase(std::unique(prefixes_.begin(), prefixes_.end()), prefixes_.end());
-  netaddr::PrefixTrie<bool> trie;
   for (const netaddr::Prefix& p : prefixes_) {
     if (p.length() == 0) {
       throw std::invalid_argument(
           "CellularMap: length-0 prefix " + p.ToString() +
           " would claim the entire address space; rejected at construction");
     }
-    trie.Insert(p, true);
   }
-  flat_ = netaddr::FlatLpm<bool>::Build(trie);
+  flat_ = netaddr::FlatLpm<bool>::Build(prefixes_, true);
 }
 
 CellularMap CellularMap::FromClassification(const ClassifiedSubnets& classified,

@@ -1,5 +1,5 @@
 // FlatLpm: an immutable, build-once longest-prefix-match engine compiled
-// from a populated PrefixTrie.
+// from prefixes in Prefix order.
 //
 // Instead of walking a pointer-chasing binary trie one bit per step, the
 // stored prefixes are flattened into sorted, disjoint address ranges —
@@ -19,14 +19,12 @@
 // array is read through unaligned-safe byte loads, so the same blob
 // serves three ways: built in memory, decoded from a snapshot section
 // (copying), or viewed zero-copy straight out of a memory-mapped
-// snapshot with a keepalive handle. A nested-interval sweep over
-// PrefixTrie::ForEach (pre-order: ascending starts, covering before
-// covered) emits at most 2n-1 segments per family for n prefixes.
-//
-// Exact-prefix queries are not answerable from disjoint ranges (an outer
-// prefix's start may be shadowed by a child); callers that need Exact()
-// keep the trie. Lookup results are byte-identical to the trie's — the
-// differential property test locks this.
+// snapshot with a keepalive handle. The build input is already sorted
+// (family, then address, covering before covered: Prefix's own order,
+// the pre-order of a binary trie), so one nested-interval sweep per
+// family emits at most 2n-1 segments for n prefixes, and the value
+// table is in input order. Lookup results are byte-identical to a
+// binary trie's; the differential property test locks this.
 #pragma once
 
 #include <array>
@@ -41,7 +39,7 @@
 #include <utility>
 #include <vector>
 
-#include "cellspot/netaddr/prefix_trie.hpp"
+#include "cellspot/netaddr/prefix.hpp"
 
 namespace cellspot::netaddr {
 
@@ -78,13 +76,24 @@ template <typename T>
 class FlatLpm {
  public:
   /// An empty engine: every lookup misses. Equivalent to building from
-  /// an empty trie.
+  /// no entries.
   FlatLpm() = default;
 
-  /// Compile the packed-range layout from a populated trie. O(n log n)
-  /// in stored prefixes; the result is immutable.
-  [[nodiscard]] static FlatLpm Build(const PrefixTrie<T>& trie) {
-    return Decode(EncodeFromTrie(trie));
+  /// Compile the packed-range layout from (prefix, value) entries in
+  /// strictly ascending Prefix order. O(n) in entries; throws
+  /// FlatLpmError on an entry out of order or a repeated prefix. The
+  /// result is immutable.
+  [[nodiscard]] static FlatLpm Build(std::span<const std::pair<Prefix, T>> entries) {
+    return Decode(EncodeSorted(
+        entries.size(), [&](std::size_t i) -> const Prefix& { return entries[i].first; },
+        [&](std::size_t i) -> const T& { return entries[i].second; }));
+  }
+
+  /// As above, with every prefix mapped to `value`.
+  [[nodiscard]] static FlatLpm Build(std::span<const Prefix> prefixes, const T& value) {
+    return Decode(EncodeSorted(
+        prefixes.size(), [&](std::size_t i) -> const Prefix& { return prefixes[i]; },
+        [&](std::size_t) -> const T& { return value; }));
   }
 
   /// Parse and validate a payload, copying the bytes into an owned
@@ -102,7 +111,7 @@ class FlatLpm {
   /// lifetime of the FlatLpm and every copy of it. Validation is a full
   /// structural pass (exact length, ordering, disjointness, index
   /// consistency, value range), so a view is as trustworthy as a build —
-  /// only the O(n log n) compilation is skipped.
+  /// only the compilation is skipped.
   [[nodiscard]] static FlatLpm View(std::string_view payload,
                                     std::shared_ptr<const void> keepalive) {
     FlatLpm lpm;
@@ -116,11 +125,11 @@ class FlatLpm {
   /// default-constructed engine this is the (valid) empty layout.
   [[nodiscard]] std::string Encode() const {
     if (!payload_.empty()) return std::string(payload_);
-    return EncodeFromTrie(PrefixTrie<T>{});
+    return Build(std::span<const Prefix>{}, T{}).Encode();
   }
 
   /// Value at the most specific stored prefix containing `addr`, or
-  /// nullptr. Matches PrefixTrie::LongestMatch bit for bit.
+  /// nullptr.
   [[nodiscard]] const T* LongestMatch(const IpAddress& addr) const {
     const FamilyView& fv = ViewFor(addr.family());
     const std::size_t seg = FindSegment(fv, addr.bytes().data());
@@ -138,17 +147,9 @@ class FlatLpm {
     return std::pair<int, const T*>{static_cast<int>(value_len_[vidx]), &values_[vidx].v};
   }
 
-  /// Batch lookup: out[i] = LongestMatch(addrs[i]). The spans must have
-  /// equal lengths. This is the cache-friendly form the executor drives.
-  void LongestMatchBatch(std::span<const IpAddress> addrs,
-                         std::span<const T*> out) const {
-    if (addrs.size() != out.size()) {
-      throw std::invalid_argument("FlatLpm::LongestMatchBatch: span size mismatch");
-    }
-    for (std::size_t i = 0; i < addrs.size(); ++i) out[i] = LongestMatch(addrs[i]);
-  }
-
-  /// Value-copying batch: out[i] = value or `miss` when unmatched.
+  /// Batch lookup: out[i] = the value of LongestMatch(addrs[i]), or
+  /// `miss` when unmatched. The spans must have equal lengths; callers
+  /// fan out over subspans inside their own executor ParallelFor.
   void LongestMatchBatch(std::span<const IpAddress> addrs, std::span<T> out,
                          const T& miss) const {
     if (addrs.size() != out.size()) {
@@ -160,41 +161,7 @@ class FlatLpm {
     }
   }
 
-  /// Chunked batch lookup driven by an external runner, typically an
-  /// executor: `run(n, grain, body)` must invoke body(begin, end) over
-  /// chunks covering [0, n) — exec::Executor::ParallelFor has exactly
-  /// this shape. Results are positional, so output is independent of
-  /// chunk scheduling. (netaddr stays below exec in the layering; the
-  /// runner parameter is the seam.)
-  template <typename RunChunks>
-  void LongestMatchBatchChunked(std::span<const IpAddress> addrs,
-                                std::span<const T*> out, std::size_t grain,
-                                RunChunks&& run) const {
-    if (addrs.size() != out.size()) {
-      throw std::invalid_argument("FlatLpm::LongestMatchBatchChunked: span size mismatch");
-    }
-    run(addrs.size(), grain, [this, addrs, out](std::size_t begin, std::size_t end) {
-      LongestMatchBatch(addrs.subspan(begin, end - begin),
-                        out.subspan(begin, end - begin));
-    });
-  }
-
-  /// As above, copying values with a miss default.
-  template <typename RunChunks>
-  void LongestMatchBatchChunked(std::span<const IpAddress> addrs, std::span<T> out,
-                                const T& miss, std::size_t grain,
-                                RunChunks&& run) const {
-    if (addrs.size() != out.size()) {
-      throw std::invalid_argument("FlatLpm::LongestMatchBatchChunked: span size mismatch");
-    }
-    run(addrs.size(), grain,
-        [this, addrs, out, &miss](std::size_t begin, std::size_t end) {
-          LongestMatchBatch(addrs.subspan(begin, end - begin),
-                            out.subspan(begin, end - begin), miss);
-        });
-  }
-
-  /// Number of stored prefixes (== the source trie's size()).
+  /// Number of stored prefixes (== the number of build entries).
   [[nodiscard]] std::size_t size() const noexcept { return values_.size(); }
   [[nodiscard]] bool empty() const noexcept { return values_.empty(); }
 
@@ -283,7 +250,7 @@ class FlatLpm {
     }
   }
 
-  // ---- build: nested-interval sweep over the trie -------------------
+  // ---- build: nested-interval sweep over sorted prefixes ------------
 
   struct BuildPrefix {
     AddrBytes start{};
@@ -297,8 +264,8 @@ class FlatLpm {
     std::uint32_t vidx = 0;
   };
 
-  /// Flatten one family's prefixes (pre-order from ForEach: ascending
-  /// starts, covering before covered, duplicates impossible) into sorted
+  /// Flatten one family's prefixes (Prefix order: ascending starts,
+  /// covering before covered, no duplicates) into sorted
   /// disjoint segments labelled with the innermost covering prefix. A
   /// stack of currently open prefixes plays the nesting; a cursor marks
   /// the first address not yet assigned to a segment.
@@ -344,32 +311,43 @@ class FlatLpm {
     return segments;
   }
 
-  [[nodiscard]] static std::string EncodeFromTrie(const PrefixTrie<T>& trie) {
-    if (trie.size() > 0xFFFFFFFFULL) {
+  /// The payload for `n` entries, the i-th being (prefix_at(i),
+  /// value_at(i)); checks the order Build() requires as it goes.
+  template <typename PrefixAt, typename ValueAt>
+  [[nodiscard]] static std::string EncodeSorted(std::size_t n, PrefixAt&& prefix_at,
+                                                ValueAt&& value_at) {
+    if (n > 0xFFFFFFFFULL) {
       throw FlatLpmError("FlatLpm: more than 2^32-1 prefixes");
     }
     std::vector<BuildPrefix> v4p;
     std::vector<BuildPrefix> v6p;
     std::string value_len;
     std::string value_enc;
-    value_len.reserve(trie.size());
-    value_enc.reserve(trie.size() * 4);
-    trie.ForEach([&](const Prefix& prefix, const T& value) {
+    value_len.reserve(n);
+    value_enc.reserve(n * 4);
+    for (std::size_t i = 0; i < n; ++i) {
+      const Prefix& prefix = prefix_at(i);
+      if (i > 0 && !(prefix_at(i - 1) < prefix)) {
+        throw FlatLpmError("FlatLpm::Build: " + prefix.ToString() +
+                           (prefix_at(i - 1) == prefix ? " repeated"
+                                                       : " out of Prefix order"));
+      }
       BuildPrefix bp;
       const auto& bytes = prefix.address().bytes();
       const std::size_t w = prefix.family() == Family::kIpv4 ? 4U : 16U;
       std::memcpy(bp.start.data(), bytes.data(), 16);
       bp.end = bp.start;
       // Set every host bit: the inclusive top of the prefix's range.
-      for (int bit = prefix.length(); bit < static_cast<int>(w) * 8; ++bit) {
-        bp.end[static_cast<std::size_t>(bit / 8)] |=
-            static_cast<Byte>(1U << (7 - bit % 8));
+      const auto boundary = static_cast<std::size_t>(prefix.length() / 8);
+      if (boundary < w) {
+        bp.end[boundary] |= static_cast<Byte>(0xFFU >> (prefix.length() % 8));
+        std::memset(bp.end.data() + boundary + 1, 0xFF, w - boundary - 1);
       }
-      bp.vidx = static_cast<std::uint32_t>(value_len.size());
+      bp.vidx = static_cast<std::uint32_t>(i);
       value_len.push_back(static_cast<char>(prefix.length()));
-      PutU32(value_enc, FlatLpmCodec<T>::Encode(value));
+      PutU32(value_enc, FlatLpmCodec<T>::Encode(value_at(i)));
       (prefix.family() == Family::kIpv4 ? v4p : v6p).push_back(bp);
-    });
+    }
     const std::vector<BuildSegment> v4s = SweepFamily(v4p, 4);
     const std::vector<BuildSegment> v6s = SweepFamily(v6p, 16);
 

@@ -130,6 +130,7 @@ class WorldBuilder {
     EmitInfrastructure();
     PickValidationCarriers();
     BuildIndexes();
+    world_.rib_ = asdb::RoutingTable(std::move(announcements_));
     return std::move(world_);
   }
 
@@ -781,8 +782,8 @@ class WorldBuilder {
       for (int a = 0; a < aggregates; ++a) {
         const std::uint32_t base = static_cast<std::uint32_t>(
             rng.UniformInt(0x01000000u, std::max(0x01000001u, allocated_top)));
-        world_.rib_.Announce(netaddr::Prefix(netaddr::IpAddress::V4(base), len),
-                             stored.asn);
+        announcements_.emplace_back(netaddr::Prefix(netaddr::IpAddress::V4(base), len),
+                                    stored.asn);
       }
       stored.subnet_end = static_cast<std::uint32_t>(world_.subnets_.size());
     }
@@ -967,7 +968,7 @@ class WorldBuilder {
       const double draw = mean + (mobile_rng_.UniformDouble() - 0.5) * 2.0 * sigma;
       s.mobile_share = std::clamp(draw, 0.02, 0.99);
     }
-    world_.rib_.Announce(s.block, s.asn);
+    announcements_.emplace_back(s.block, s.asn);
     world_.subnets_.push_back(std::move(s));
   }
 
@@ -982,6 +983,7 @@ class WorldBuilder {
   util::Rng mobile_rng_{0xB10B5ULL};
   BlockAllocator alloc_;
   World world_;
+  std::vector<asdb::RoutingTable::Route> announcements_;  // in announcement order
   std::vector<CountryBudget> budgets_;
   AsNumber next_asn_ = 2000;
 };

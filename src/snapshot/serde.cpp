@@ -109,6 +109,26 @@ asdb::AsNumber GetAsn(ByteReader& r) {
   return static_cast<asdb::AsNumber>(v);
 }
 
+/// Rejects a RIB origin without an AS database record. Routes in Prefix
+/// order come in runs of one operator's blocks, so only a change of
+/// origin costs a lookup.
+class RecordedOrigins {
+ public:
+  explicit RecordedOrigins(const asdb::AsDatabase& db) : db_(db) {}
+
+  void Check(asdb::AsNumber asn) {
+    if (asn == last_) return;
+    if (db_.Find(asn) == nullptr) {
+      Malformed("RIB has announcements from ASNs outside the AS database");
+    }
+    last_ = asn;
+  }
+
+ private:
+  const asdb::AsDatabase& db_;
+  asdb::AsNumber last_ = 0;  // reserved, never a record
+};
+
 }  // namespace
 
 // ---- Access ----------------------------------------------------------------
@@ -290,22 +310,17 @@ std::vector<Section> EncodeWorld(const simnet::World& world) {
   }
 
   {
-    // Announcements grouped per origin AS in database record order, each
-    // group in announcement order (the exact iteration SaveRoutingTableCsv
-    // uses). Every origin has a database record by construction; verify,
-    // so a violation surfaces at save time instead of as a wrong RIB.
+    // Routes in the table's Prefix order, so a decode only checks the
+    // order instead of sorting. Every origin has a database record by
+    // construction; verify, so a violation surfaces at save time
+    // instead of as a wrong RIB.
     ByteWriter w;
     w.Varint(world.rib().size());
-    std::uint64_t written = 0;
-    for (const asdb::AsRecord& rec : world.as_db().records()) {
-      for (const netaddr::Prefix& prefix : world.rib().PrefixesOf(rec.asn)) {
-        w.Varint(rec.asn);
-        PutPrefix(w, prefix);
-        ++written;
-      }
-    }
-    if (written != world.rib().size()) {
-      Malformed("RIB has announcements from ASNs outside the AS database");
+    RecordedOrigins recorded(world.as_db());
+    for (const auto& [prefix, asn] : world.rib().entries()) {
+      recorded.Check(asn);
+      w.Varint(asn);
+      PutPrefix(w, prefix);
     }
     sections.push_back({std::string(kWorldRibSection), std::move(w).Take()});
   }
@@ -385,13 +400,20 @@ simnet::World Access::DecodeWorld(const SnapshotImage& image) {
   }
 
   {
+    // Rows in any order decode (RoutingTable sorts what is not sorted),
+    // so images written in another row order still load.
     ByteReader r(image.Payload(kWorldRibSection));
     const std::uint64_t count = r.Varint();
+    std::vector<asdb::RoutingTable::Route> routes;
+    routes.reserve(RowCapacity(r, count, 7));  // 1-byte asn + a v4 prefix
+    RecordedOrigins recorded(world.as_db_);
     for (std::uint64_t i = 0; i < count; ++i) {
       const asdb::AsNumber asn = GetAsn(r);
-      world.rib_.Announce(GetPrefix(r), asn);
+      recorded.Check(asn);
+      routes.emplace_back(GetPrefix(r), asn);
     }
     r.ExpectEnd();
+    world.rib_ = asdb::RoutingTable(std::move(routes));
     if (world.rib_.size() != count) Malformed("duplicate prefixes in RIB");
   }
 

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <sstream>
 
 #include "cellspot/simnet/world.hpp"
@@ -61,18 +62,33 @@ TEST(AsDbCsv, RejectsBadInput) {
 }
 
 TEST(RibCsv, RoundTrip) {
-  AsDatabase db = SampleDb();
-  RoutingTable rib;
-  rib.Announce(netaddr::Prefix::Parse("198.51.101.0/24"), 64500);
-  rib.Announce(netaddr::Prefix::Parse("2001:db8::/48"), 64500);
-  rib.Announce(netaddr::Prefix::Parse("198.51.102.0/24"), 64501);
+  const RoutingTable rib({{netaddr::Prefix::Parse("198.51.101.0/24"), 64500},
+                          {netaddr::Prefix::Parse("2001:db8::/48"), 64500},
+                          {netaddr::Prefix::Parse("198.51.102.0/24"), 64501}});
   std::stringstream ss;
-  SaveRoutingTableCsv(rib, db, ss);
+  SaveRoutingTableCsv(rib, ss);
+  EXPECT_EQ(ss.str(),
+            "prefix,asn\n198.51.101.0/24,64500\n198.51.102.0/24,64501\n"
+            "2001:db8::/48,64500\n");
   const RoutingTable loaded = LoadRoutingTableCsv(ss);
   EXPECT_EQ(loaded.size(), 3u);
   EXPECT_EQ(loaded.OriginOf(netaddr::IpAddress::Parse("198.51.101.9")), 64500u);
   EXPECT_EQ(loaded.OriginOf(netaddr::IpAddress::Parse("2001:db8::1")), 64500u);
   EXPECT_EQ(loaded.OriginOf(netaddr::IpAddress::Parse("198.51.102.9")), 64501u);
+}
+
+TEST(RibCsv, RoundTripKeepsOriginsWithoutRecords) {
+  // The RIB file is written from the table alone: an origin that no AS
+  // database record names keeps its routes.
+  const AsDatabase db = SampleDb();
+  ASSERT_EQ(db.Find(64999), nullptr);
+  const RoutingTable rib({{netaddr::Prefix::Parse("198.51.101.0/24"), 64500},
+                          {netaddr::Prefix::Parse("203.0.113.0/24"), 64999}});
+  std::stringstream ss;
+  SaveRoutingTableCsv(rib, ss);
+  const RoutingTable loaded = LoadRoutingTableCsv(ss);
+  EXPECT_TRUE(std::ranges::equal(loaded.entries(), rib.entries()));
+  EXPECT_EQ(loaded.OriginOf(netaddr::IpAddress::Parse("203.0.113.7")), 64999u);
 }
 
 TEST(RibCsv, RejectsBadInput) {
@@ -105,11 +121,11 @@ TEST(WorldExport, FullWorldRoundTrip) {
   std::stringstream db_ss;
   std::stringstream rib_ss;
   SaveAsDatabaseCsv(world.as_db(), db_ss);
-  SaveRoutingTableCsv(world.rib(), world.as_db(), rib_ss);
+  SaveRoutingTableCsv(world.rib(), rib_ss);
   const AsDatabase db = LoadAsDatabaseCsv(db_ss);
   const RoutingTable rib = LoadRoutingTableCsv(rib_ss);
   EXPECT_EQ(db.size(), world.as_db().size());
-  EXPECT_EQ(rib.size(), world.rib().size());
+  EXPECT_TRUE(std::ranges::equal(rib.entries(), world.rib().entries()));
   for (std::size_t i = 0; i < world.subnets().size(); i += 101) {
     const auto& s = world.subnets()[i];
     EXPECT_EQ(rib.OriginOf(netaddr::NthAddress(s.block, 1)), s.asn);

@@ -67,99 +67,85 @@ TEST(AsClassNames, Stable) {
 }
 
 TEST(RoutingTable, OriginLookupLpm) {
-  RoutingTable rib;
-  rib.Announce(Prefix::Parse("10.0.0.0/8"), 100);
-  rib.Announce(Prefix::Parse("10.5.0.0/16"), 200);
+  const RoutingTable rib({{Prefix::Parse("10.0.0.0/8"), 100},
+                          {Prefix::Parse("10.5.0.0/16"), 200}});
   EXPECT_EQ(rib.OriginOf(IpAddress::Parse("10.5.1.1")), 200u);
   EXPECT_EQ(rib.OriginOf(IpAddress::Parse("10.9.1.1")), 100u);
   EXPECT_FALSE(rib.OriginOf(IpAddress::Parse("11.0.0.1")).has_value());
 }
 
-TEST(RoutingTable, ExactOrigin) {
-  RoutingTable rib;
-  rib.Announce(Prefix::Parse("192.0.2.0/24"), 64500);
-  EXPECT_EQ(rib.ExactOrigin(Prefix::Parse("192.0.2.0/24")), 64500u);
-  EXPECT_FALSE(rib.ExactOrigin(Prefix::Parse("192.0.2.0/25")).has_value());
-}
-
 TEST(RoutingTable, ReannouncementMovesPrefix) {
-  RoutingTable rib;
   const auto p = Prefix::Parse("198.51.100.0/24");
-  rib.Announce(p, 1);
-  rib.Announce(p, 2);
+  const RoutingTable rib({{p, 1}, {p, 2}});
   EXPECT_EQ(rib.OriginOf(IpAddress::Parse("198.51.100.9")), 2u);
-  EXPECT_TRUE(rib.PrefixesOf(1).empty());
-  ASSERT_EQ(rib.PrefixesOf(2).size(), 1u);
-  EXPECT_EQ(rib.PrefixesOf(2)[0], p);
+  ASSERT_EQ(rib.entries().size(), 1u);
+  EXPECT_EQ(rib.entries()[0], (RoutingTable::Route{p, 2}));
   EXPECT_EQ(rib.size(), 1u);
 }
 
 TEST(RoutingTable, IdempotentReannouncement) {
-  RoutingTable rib;
   const auto p = Prefix::Parse("198.51.100.0/24");
-  rib.Announce(p, 7);
-  rib.Announce(p, 7);
-  EXPECT_EQ(rib.PrefixesOf(7).size(), 1u);
+  const RoutingTable rib({{p, 7}, {p, 7}});
+  EXPECT_EQ(rib.size(), 1u);
+  EXPECT_EQ(rib.entries()[0], (RoutingTable::Route{p, 7}));
 }
 
 TEST(RoutingTable, MixedFamilies) {
-  RoutingTable rib;
-  rib.Announce(Prefix::Parse("203.0.113.0/24"), 10);
-  rib.Announce(Prefix::Parse("2001:db8::/32"), 20);
+  const RoutingTable rib({{Prefix::Parse("203.0.113.0/24"), 10},
+                          {Prefix::Parse("2001:db8::/32"), 20}});
   EXPECT_EQ(rib.OriginOf(IpAddress::Parse("203.0.113.5")), 10u);
   EXPECT_EQ(rib.OriginOf(IpAddress::Parse("2001:db8:1:2::3")), 20u);
   EXPECT_FALSE(rib.OriginOf(IpAddress::Parse("2001:db9::1")).has_value());
 }
 
-TEST(RoutingTable, PrefixesOfReturnsAll) {
-  RoutingTable rib;
-  rib.Announce(Prefix::Parse("10.0.0.0/24"), 5);
-  rib.Announce(Prefix::Parse("10.0.1.0/24"), 5);
-  rib.Announce(Prefix::Parse("10.0.2.0/24"), 6);
-  auto prefixes = rib.PrefixesOf(5);
-  EXPECT_EQ(prefixes.size(), 2u);
-  EXPECT_TRUE(std::ranges::find(prefixes, Prefix::Parse("10.0.1.0/24")) != prefixes.end());
-}
-
 TEST(RoutingTable, ReannounceChurnDropsEmptiedOrigins) {
-  // Moving an origin's last prefix must erase its reverse-index key, so
-  // origin_count() stays truthful under heavy announce churn.
-  RoutingTable rib;
+  // Moving an origin's last prefix leaves no trace of that origin: only
+  // the last announcement of each prefix is a route.
   const auto p = Prefix::Parse("198.51.100.0/24");
-  rib.Announce(p, 1);
-  EXPECT_EQ(rib.origin_count(), 1u);
-  for (AsNumber asn = 2; asn <= 100; ++asn) {
-    rib.Announce(p, asn);
-    EXPECT_EQ(rib.origin_count(), 1u) << "churn left an empty origin behind";
-  }
+  std::vector<RoutingTable::Route> churn;
+  for (AsNumber asn = 1; asn <= 100; ++asn) churn.emplace_back(p, asn);
+  const RoutingTable rib(churn);
+  ASSERT_EQ(rib.size(), 1u);
+  EXPECT_EQ(rib.entries()[0], (RoutingTable::Route{p, 100}));
   EXPECT_EQ(rib.OriginOf(IpAddress::Parse("198.51.100.1")), 100u);
 
   // An origin with other prefixes survives a partial withdrawal.
-  rib.Announce(Prefix::Parse("10.0.0.0/24"), 100);
-  rib.Announce(p, 7);
-  EXPECT_EQ(rib.origin_count(), 2u);
-  EXPECT_EQ(rib.PrefixesOf(100).size(), 1u);
+  churn.emplace_back(Prefix::Parse("10.0.0.0/24"), 100);
+  churn.emplace_back(p, 7);
+  const RoutingTable moved(churn);
+  EXPECT_EQ(moved.entries()[0], (RoutingTable::Route{Prefix::Parse("10.0.0.0/24"), 100}));
+  EXPECT_EQ(moved.entries()[1], (RoutingTable::Route{p, 7}));
+  EXPECT_EQ(moved.size(), 2u);
 }
 
-TEST(RoutingTable, FlatEngineInvalidatedByAnnounce) {
-  RoutingTable rib;
-  rib.Announce(Prefix::Parse("203.0.113.0/24"), 10);
+TEST(RoutingTable, EntriesAreInPrefixOrderWhateverTheInputOrder) {
+  const std::vector<RoutingTable::Route> sorted = {
+      {Prefix::Parse("10.0.0.0/8"), 1},      {Prefix::Parse("10.0.0.0/16"), 2},
+      {Prefix::Parse("10.128.0.0/9"), 3},    {Prefix::Parse("192.0.2.0/24"), 4},
+      {Prefix::Parse("2001:db8::/32"), 5},   {Prefix::Parse("2001:db8::/48"), 6},
+  };
+  std::vector<RoutingTable::Route> shuffled = {sorted[4], sorted[2], sorted[5],
+                                               sorted[0], sorted[3], sorted[1]};
+  const RoutingTable from_sorted(sorted);
+  const RoutingTable from_shuffled(shuffled);
+  EXPECT_TRUE(std::ranges::equal(from_sorted.entries(), sorted));
+  EXPECT_TRUE(std::ranges::equal(from_shuffled.entries(), sorted));
+  EXPECT_EQ(from_shuffled.Flat().Encode(), from_sorted.Flat().Encode());
+}
+
+TEST(RoutingTable, FlatEngineBuiltOnFirstUse) {
+  const RoutingTable rib({{Prefix::Parse("203.0.113.0/24"), 10},
+                          {Prefix::Parse("203.0.113.128/25"), 20}});
   EXPECT_FALSE(rib.has_flat());
   EXPECT_EQ(*rib.Flat().LongestMatch(IpAddress::Parse("203.0.113.9")), 10u);
   EXPECT_TRUE(rib.has_flat());
-
-  // Mutation drops the compiled engine; lookups stay correct throughout.
-  rib.Announce(Prefix::Parse("203.0.113.128/25"), 20);
-  EXPECT_FALSE(rib.has_flat());
   EXPECT_EQ(rib.OriginOf(IpAddress::Parse("203.0.113.200")), 20u);
   EXPECT_EQ(*rib.Flat().LongestMatch(IpAddress::Parse("203.0.113.200")), 20u);
-  EXPECT_EQ(*rib.Flat().LongestMatch(IpAddress::Parse("203.0.113.9")), 10u);
 }
 
 TEST(RoutingTable, BatchLookupMatchesSingleWithZeroForUnrouted) {
-  RoutingTable rib;
-  rib.Announce(Prefix::Parse("203.0.113.0/24"), 10);
-  rib.Announce(Prefix::Parse("2001:db8::/32"), 20);
+  const RoutingTable rib({{Prefix::Parse("203.0.113.0/24"), 10},
+                          {Prefix::Parse("2001:db8::/32"), 20}});
   const std::vector<netaddr::IpAddress> addrs = {
       IpAddress::Parse("203.0.113.5"), IpAddress::Parse("198.51.100.1"),
       IpAddress::Parse("2001:db8::1"), IpAddress::Parse("2001:db9::1")};
@@ -169,13 +155,13 @@ TEST(RoutingTable, BatchLookupMatchesSingleWithZeroForUnrouted) {
 }
 
 TEST(RoutingTable, CopyAndMoveKeepLookupsConsistent) {
-  RoutingTable rib;
-  rib.Announce(Prefix::Parse("203.0.113.0/24"), 10);
+  RoutingTable rib({{Prefix::Parse("203.0.113.0/24"), 10}});
   (void)rib.Flat();  // compiled engine present before copy/move
 
   RoutingTable copy(rib);
   EXPECT_EQ(copy.OriginOf(IpAddress::Parse("203.0.113.5")), 10u);
-  copy.Announce(Prefix::Parse("198.51.100.0/24"), 11);
+  copy = RoutingTable({{Prefix::Parse("203.0.113.0/24"), 10},
+                       {Prefix::Parse("198.51.100.0/24"), 11}});
   EXPECT_EQ(copy.size(), 2u);
   EXPECT_EQ(rib.size(), 1u);
 

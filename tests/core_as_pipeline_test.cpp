@@ -21,7 +21,7 @@ BeaconBlockStats Stats(std::uint64_t hits, std::uint64_t netinfo, std::uint64_t 
 }
 
 struct Fixture {
-  asdb::RoutingTable rib;
+  std::vector<asdb::RoutingTable::Route> announcements;
   asdb::AsDatabase as_db;
   dataset::BeaconDataset beacons;
   dataset::DemandDataset demand;
@@ -36,14 +36,14 @@ struct Fixture {
 
   void AddBlock(const char* prefix, asdb::AsNumber asn, BeaconBlockStats stats, double du) {
     const auto block = Prefix::Parse(prefix);
-    rib.Announce(block, asn);
+    announcements.emplace_back(block, asn);
     if (stats.hits > 0) beacons.Add(block, stats);
     if (du > 0.0) demand.Add(block, du);
   }
 
   std::vector<AsAggregate> Aggregate(const ClassifiedSubnets& classified) const {
-    return AggregateCandidateAsesSharded(rib, classified, beacons, demand,
-                                         exec::Executor::Shared());
+    return AggregateCandidateAsesSharded(asdb::RoutingTable(announcements), classified,
+                                         beacons, demand, exec::Executor::Shared());
   }
 };
 

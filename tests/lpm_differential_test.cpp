@@ -1,14 +1,19 @@
-// Differential property test locking FlatLpm to PrefixTrie: on seeded
+// Differential property tests locking FlatLpm and asdb::RoutingTable to
+// the reference trie (tests/support/reference_prefix_trie.hpp): on seeded
 // random prefix sets (nested, overlapping, both families) every lookup
-// form — single, with-length, batch, exec-chunked at 1/2/8 threads —
-// must agree with the trie bit for bit. Also covers the payload
-// round-trip (Encode/Decode/View), the mmap-served snapshot path
-// (ReadSnapshotFile + DecodeRibLpm, and the StageCache lpm entry) and a
-// corruption matrix over the lpm snapshot file.
+// form — single, with-length, batch, chunked through an executor at
+// 1/2/8 threads — must agree with the trie bit for bit, and on seeded
+// announcement sequences (repeats, re-announcements to another origin,
+// default routes) the routing table must hold exactly the trie's routes
+// in its ForEach order. Also covers the payload round-trip
+// (Encode/Decode/View), the mmap-served snapshot path (ReadSnapshotFile
+// + DecodeRibLpm, and the StageCache lpm entry) and a corruption matrix
+// over the lpm snapshot file.
 #include "cellspot/netaddr/flat_lpm.hpp"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <cstdint>
 #include <filesystem>
@@ -22,17 +27,18 @@
 #include "cellspot/asdb/as_database.hpp"
 #include "cellspot/exec/executor.hpp"
 #include "cellspot/faultsim/stream_corruptor.hpp"
-#include "cellspot/netaddr/prefix_trie.hpp"
 #include "cellspot/obs/metrics.hpp"
 #include "cellspot/snapshot/serde.hpp"
 #include "cellspot/snapshot/snapshot.hpp"
 #include "cellspot/snapshot/stage_cache.hpp"
 #include "cellspot/util/rng.hpp"
+#include "support/reference_prefix_trie.hpp"
 
 namespace cellspot::netaddr {
 namespace {
 
 namespace fs = std::filesystem;
+using test_support::PrefixTrie;
 
 IpAddress RandomV4(util::Rng& rng) {
   return IpAddress::V4(static_cast<std::uint32_t>(rng.UniformInt(0, 0xFFFFFFFFULL)));
@@ -89,6 +95,20 @@ std::vector<IpAddress> ProbeSet(util::Rng& rng, const std::vector<Prefix>& prefi
   return probes;
 }
 
+/// The trie's contents in ForEach (pre-)order, which is Prefix order:
+/// the input FlatLpm::Build takes.
+template <typename T>
+std::vector<std::pair<Prefix, T>> EntriesOf(const PrefixTrie<T>& trie) {
+  std::vector<std::pair<Prefix, T>> entries;
+  trie.ForEach([&](const Prefix& p, const T& v) { entries.emplace_back(p, v); });
+  return entries;
+}
+
+template <typename T>
+FlatLpm<T> BuildFrom(const PrefixTrie<T>& trie) {
+  return FlatLpm<T>::Build(EntriesOf(trie));
+}
+
 template <typename T>
 void ExpectSameLookups(const PrefixTrie<T>& trie, const FlatLpm<T>& flat,
                        const std::vector<IpAddress>& probes) {
@@ -119,7 +139,7 @@ TEST(FlatLpmDifferential, MatchesTrieOnSeededRandomSets) {
     for (std::size_t i = 0; i < prefixes.size(); ++i) {
       trie.Insert(prefixes[i], static_cast<std::uint32_t>(i + 1));
     }
-    const FlatLpm<std::uint32_t> flat = FlatLpm<std::uint32_t>::Build(trie);
+    const FlatLpm<std::uint32_t> flat = BuildFrom(trie);
     EXPECT_EQ(flat.size(), trie.size());
     ExpectSameLookups(trie, flat, ProbeSet(rng, prefixes, 2000));
   }
@@ -130,7 +150,7 @@ TEST(FlatLpmDifferential, ZeroLengthPrefixCoversEverything) {
   trie.Insert(Prefix::Parse("0.0.0.0/0"), 7);
   trie.Insert(Prefix::Parse("10.0.0.0/8"), 8);
   trie.Insert(Prefix::Parse("::/0"), 9);
-  const auto flat = FlatLpm<std::uint32_t>::Build(trie);
+  const auto flat = BuildFrom(trie);
   util::Rng rng(5);
   ExpectSameLookups(trie, flat, ProbeSet(rng, {Prefix::Parse("10.1.2.0/24")}, 500));
   ASSERT_NE(flat.LongestMatch(IpAddress::Parse("255.255.255.255")), nullptr);
@@ -140,7 +160,7 @@ TEST(FlatLpmDifferential, ZeroLengthPrefixCoversEverything) {
 }
 
 TEST(FlatLpmDifferential, EmptyTrie) {
-  const auto flat = FlatLpm<std::uint32_t>::Build(PrefixTrie<std::uint32_t>{});
+  const auto flat = BuildFrom(PrefixTrie<std::uint32_t>{});
   EXPECT_TRUE(flat.empty());
   EXPECT_EQ(flat.segment_count(), 0u);
   EXPECT_EQ(flat.LongestMatch(IpAddress::Parse("1.2.3.4")), nullptr);
@@ -162,34 +182,45 @@ TEST(FlatLpmDifferential, BatchAndChunkedMatchSingleLookups) {
   for (std::size_t i = 0; i < prefixes.size(); ++i) {
     trie.Insert(prefixes[i], static_cast<std::uint32_t>(i + 1));
   }
-  const auto flat = FlatLpm<std::uint32_t>::Build(trie);
+  const auto flat = BuildFrom(trie);
   const std::vector<IpAddress> probes = ProbeSet(rng, prefixes, 3000);
-
-  std::vector<const std::uint32_t*> single(probes.size());
-  for (std::size_t i = 0; i < probes.size(); ++i) single[i] = flat.LongestMatch(probes[i]);
-
-  std::vector<const std::uint32_t*> batch(probes.size());
-  flat.LongestMatchBatch(probes, batch);
-  EXPECT_EQ(batch, single);
 
   std::vector<std::uint32_t> values(probes.size());
   flat.LongestMatchBatch(probes, values, std::uint32_t{0});
   for (std::size_t i = 0; i < probes.size(); ++i) {
-    EXPECT_EQ(values[i], single[i] == nullptr ? 0u : *single[i]);
+    const std::uint32_t* single = flat.LongestMatch(probes[i]);
+    EXPECT_EQ(values[i], single == nullptr ? 0u : *single);
   }
 
-  // Chunked through a real executor: identical output at any width.
+  // Chunked through a real executor, one batch per subspan, as the
+  // pipeline drives it: identical output at any width.
   for (const unsigned threads : {1u, 2u, 8u}) {
     exec::Executor executor(threads);
     std::vector<std::uint32_t> chunked(probes.size());
-    flat.LongestMatchBatchChunked(
-        std::span<const IpAddress>(probes), std::span<std::uint32_t>(chunked),
-        std::uint32_t{0}, /*grain=*/64,
-        [&](std::size_t n, std::size_t grain, auto&& body) {
-          executor.ParallelFor(n, grain, body);
-        });
+    const std::span<const IpAddress> in(probes);
+    const std::span<std::uint32_t> out(chunked);
+    executor.ParallelFor(probes.size(), /*grain=*/64, [&](std::size_t begin, std::size_t end) {
+      flat.LongestMatchBatch(in.subspan(begin, end - begin), out.subspan(begin, end - begin),
+                             std::uint32_t{0});
+    });
     EXPECT_EQ(chunked, values) << threads << " threads";
   }
+}
+
+TEST(FlatLpmDifferential, BuildRejectsUnsortedOrRepeatedPrefixes) {
+  using Entries = std::vector<std::pair<Prefix, std::uint32_t>>;
+  const Prefix outer = Prefix::Parse("10.0.0.0/8");
+  const Prefix inner = Prefix::Parse("10.0.0.0/16");
+  const Prefix v6 = Prefix::Parse("2001:db8::/32");
+  EXPECT_EQ(FlatLpm<std::uint32_t>::Build(Entries{{outer, 1}, {inner, 2}, {v6, 3}}).size(), 3u);
+  for (const Entries& bad : {Entries{{inner, 2}, {outer, 1}},            // covered first
+                             Entries{{v6, 3}, {outer, 1}},               // v6 before v4
+                             Entries{{outer, 1}, {outer, 1}},            // repeated
+                             Entries{{outer, 1}, {inner, 2}, {outer, 4}}}) {
+    EXPECT_THROW((void)FlatLpm<std::uint32_t>::Build(bad), FlatLpmError);
+  }
+  const std::vector<Prefix> unsorted = {inner, outer};
+  EXPECT_THROW((void)FlatLpm<bool>::Build(unsorted, true), FlatLpmError);
 }
 
 TEST(FlatLpmDifferential, EncodeDecodeViewRoundTrip) {
@@ -199,7 +230,7 @@ TEST(FlatLpmDifferential, EncodeDecodeViewRoundTrip) {
   for (std::size_t i = 0; i < prefixes.size(); ++i) {
     trie.Insert(prefixes[i], static_cast<std::uint32_t>(i + 1));
   }
-  const auto flat = FlatLpm<std::uint32_t>::Build(trie);
+  const auto flat = BuildFrom(trie);
   const std::string payload = flat.Encode();
 
   const auto decoded = FlatLpm<std::uint32_t>::Decode(payload);
@@ -226,7 +257,7 @@ TEST(FlatLpmDifferential, DecodeRejectsStructuralDamageWithoutCrashing) {
   for (std::size_t i = 0; i < prefixes.size(); ++i) {
     trie.Insert(prefixes[i], static_cast<std::uint32_t>(i + 1));
   }
-  const std::string payload = FlatLpm<std::uint32_t>::Build(trie).Encode();
+  const std::string payload = BuildFrom(trie).Encode();
 
   // Truncations at every length must throw, never read out of bounds.
   for (std::size_t len = 0; len < payload.size(); len += 7) {
@@ -274,11 +305,112 @@ std::uint64_t CounterValue(std::string_view name) {
 
 asdb::RoutingTable MakeRib(std::uint64_t seed, std::size_t prefix_count) {
   util::Rng rng(seed);
-  asdb::RoutingTable rib;
+  std::vector<asdb::RoutingTable::Route> announcements;
   for (const Prefix& p : RandomPrefixSet(rng, prefix_count)) {
-    rib.Announce(p, static_cast<asdb::AsNumber>(rng.UniformInt(1, 5000)));
+    announcements.emplace_back(p, static_cast<asdb::AsNumber>(rng.UniformInt(1, 5000)));
   }
-  return rib;
+  return asdb::RoutingTable(std::move(announcements));
+}
+
+// ---- RoutingTable vs the trie ----------------------------------------------
+
+/// A seeded announcement sequence with the shapes of a RIB feed: both
+/// families, nested prefixes, default routes at random positions, exact
+/// repeats, and re-announcements that move a prefix to another origin
+/// (the generator's transit aggregates do this a few times per world).
+std::vector<asdb::RoutingTable::Route> RandomAnnouncements(util::Rng& rng,
+                                                           std::size_t count) {
+  std::vector<Prefix> fresh = RandomPrefixSet(rng, count);
+  for (const char* default_route : {"0.0.0.0/0", "::/0"}) {
+    fresh.insert(fresh.begin() + static_cast<std::ptrdiff_t>(rng.UniformInt(0, fresh.size())),
+                 Prefix::Parse(default_route));
+  }
+  const auto origin = [&] { return static_cast<asdb::AsNumber>(rng.UniformInt(1, 5000)); };
+  std::vector<asdb::RoutingTable::Route> sequence;
+  for (const Prefix& p : fresh) {
+    sequence.emplace_back(p, origin());
+    if (rng.Chance(0.25)) {
+      const asdb::RoutingTable::Route earlier = sequence[rng.UniformInt(0, sequence.size() - 1)];
+      sequence.emplace_back(earlier.first, rng.Chance(0.3) ? earlier.second : origin());
+    }
+  }
+  return sequence;
+}
+
+/// `a` moved by one address (+1 or -1) within its family, or nullopt
+/// past either end of the address space.
+std::optional<IpAddress> StepAddress(const IpAddress& a, int delta) {
+  std::array<std::uint8_t, 16> bytes = a.bytes();
+  const std::size_t width = a.is_v4() ? 4 : 16;
+  const std::uint8_t wrap = delta > 0 ? 0x00 : 0xFF;
+  for (std::size_t i = width; i-- > 0;) {
+    bytes[i] = static_cast<std::uint8_t>(bytes[i] + delta);
+    if (bytes[i] != wrap) {
+      return a.is_v4() ? IpAddress::V4((std::uint32_t{bytes[0]} << 24) |
+                                       (std::uint32_t{bytes[1]} << 16) |
+                                       (std::uint32_t{bytes[2]} << 8) | bytes[3])
+                       : IpAddress::V6(bytes);
+    }
+  }
+  return std::nullopt;
+}
+
+/// Addresses on and just across every route's range edges: its first
+/// and last address, and their outside neighbours where they exist.
+std::vector<IpAddress> BoundaryProbes(std::span<const asdb::RoutingTable::Route> routes) {
+  std::vector<IpAddress> probes;
+  for (const auto& [prefix, asn] : routes) {
+    IpAddress last = prefix.address();
+    for (int bit = prefix.length(); bit < last.bit_width(); ++bit) last = last.WithBit(bit, true);
+    probes.push_back(prefix.address());
+    probes.push_back(last);
+    if (const auto before = StepAddress(prefix.address(), -1)) probes.push_back(*before);
+    if (const auto after = StepAddress(last, +1)) probes.push_back(*after);
+  }
+  return probes;
+}
+
+TEST(RoutingTableDifferential, MatchesTrieOnSeededAnnouncementSequences) {
+  for (const std::uint64_t seed : {3ULL, 42ULL, 2016ULL, 20161224ULL, 86243ULL}) {
+    util::Rng rng(seed);
+    const std::vector<asdb::RoutingTable::Route> sequence =
+        RandomAnnouncements(rng, 1 + rng.UniformInt(0, 500));
+    PrefixTrie<asdb::AsNumber> trie;
+    for (const auto& [prefix, asn] : sequence) trie.Insert(prefix, asn);
+    const asdb::RoutingTable rib(sequence);
+
+    ASSERT_EQ(rib.size(), trie.size()) << "seed " << seed;
+    EXPECT_TRUE(std::ranges::equal(rib.entries(), EntriesOf(trie))) << "seed " << seed;
+
+    // Input already in Prefix order (repeats keeping their relative
+    // order) takes the no-sort path to the same table.
+    std::vector<asdb::RoutingTable::Route> sorted = sequence;
+    std::ranges::stable_sort(sorted, {}, &asdb::RoutingTable::Route::first);
+    EXPECT_TRUE(std::ranges::equal(asdb::RoutingTable(sorted).entries(), rib.entries()))
+        << "seed " << seed;
+
+    std::vector<IpAddress> probes = BoundaryProbes(rib.entries());
+    const std::vector<IpAddress> random = ProbeSet(rng, {}, 2000);
+    probes.insert(probes.end(), random.begin(), random.end());
+    std::vector<asdb::AsNumber> want(probes.size());
+    for (std::size_t i = 0; i < probes.size(); ++i) {
+      const asdb::AsNumber* found = trie.LongestMatch(probes[i]);
+      want[i] = found == nullptr ? 0 : *found;
+      ASSERT_EQ(rib.OriginOf(probes[i]).value_or(0), want[i]) << probes[i].ToString();
+    }
+
+    // The batch form, with the engine compiled by whichever executor
+    // worker gets there first.
+    const asdb::RoutingTable fresh(sequence);
+    exec::Executor executor(4);
+    std::vector<asdb::AsNumber> got(probes.size());
+    const std::span<const IpAddress> in(probes);
+    const std::span<asdb::AsNumber> out(got);
+    executor.ParallelFor(probes.size(), /*grain=*/128, [&](std::size_t begin, std::size_t end) {
+      fresh.OriginOfBatch(in.subspan(begin, end - begin), out.subspan(begin, end - begin));
+    });
+    EXPECT_EQ(got, want) << "seed " << seed;
+  }
 }
 
 TEST(FlatLpmSnapshot, MmapServedEngineMatchesBuiltEngine) {

@@ -1,4 +1,6 @@
-#include "cellspot/netaddr/prefix_trie.hpp"
+// Unit tests of the reference trie the LPM differential tests compare
+// against.
+#include "support/reference_prefix_trie.hpp"
 
 #include <gtest/gtest.h>
 
@@ -7,6 +9,8 @@
 
 namespace cellspot::netaddr {
 namespace {
+
+using test_support::PrefixTrie;
 
 TEST(PrefixTrie, EmptyLookups) {
   PrefixTrie<int> trie;

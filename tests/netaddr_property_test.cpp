@@ -5,12 +5,14 @@
 
 #include <vector>
 
-#include "cellspot/netaddr/prefix_trie.hpp"
 #include "cellspot/util/rng.hpp"
 #include "support/reference_prefix_mask.hpp"
+#include "support/reference_prefix_trie.hpp"
 
 namespace cellspot::netaddr {
 namespace {
+
+using test_support::PrefixTrie;
 
 IpAddress RandomAddress(util::Rng& rng, bool v6) {
   if (!v6) {

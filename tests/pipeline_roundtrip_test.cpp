@@ -37,7 +37,7 @@ TEST(PipelineRoundTrip, CsvPathMatchesInMemoryPath) {
   }
   {
     std::ofstream out(dir + "/rib.csv");
-    asdb::SaveRoutingTableCsv(mem.world.rib(), mem.world.as_db(), out);
+    asdb::SaveRoutingTableCsv(mem.world.rib(), out);
   }
 
   // Reload and re-run, simulator-free.

@@ -102,11 +102,10 @@ TEST(QueryJoinDifferential, UnroutedBlocksAndRecordlessOrigins) {
                 .continent = geo::Continent::kEurope});
   as_db.Upsert({.asn = 64503, .name = "D", .country_iso = "DE",
                 .continent = geo::Continent::kEurope});
-  asdb::RoutingTable rib;
-  rib.Announce(netaddr::Prefix::Parse("10.0.0.0/16"), 64500);
-  rib.Announce(netaddr::Prefix::Parse("10.0.1.0/24"), 64501);
-  rib.Announce(netaddr::Prefix::Parse("192.0.2.0/24"), 64502);
-  rib.Announce(netaddr::Prefix::Parse("2001:db8::/32"), 64503);
+  const asdb::RoutingTable rib({{netaddr::Prefix::Parse("10.0.0.0/16"), 64500},
+                                {netaddr::Prefix::Parse("10.0.1.0/24"), 64501},
+                                {netaddr::Prefix::Parse("192.0.2.0/24"), 64502},
+                                {netaddr::Prefix::Parse("2001:db8::/32"), 64503}});
 
   dataset::BeaconDataset beacons;
   dataset::DemandDataset demand;

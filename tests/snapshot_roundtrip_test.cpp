@@ -281,8 +281,8 @@ TEST_P(SnapshotRoundtrip, SaveLoadReencodeIsByteIdentical) {
   asdb::SaveAsDatabaseCsv(a.world.as_db(), asdb1);
   asdb::SaveAsDatabaseCsv(world2.as_db(), asdb2);
   EXPECT_EQ(asdb2.str(), asdb1.str());
-  asdb::SaveRoutingTableCsv(a.world.rib(), a.world.as_db(), rib1);
-  asdb::SaveRoutingTableCsv(world2.rib(), world2.as_db(), rib2);
+  asdb::SaveRoutingTableCsv(a.world.rib(), rib1);
+  asdb::SaveRoutingTableCsv(world2.rib(), rib2);
   EXPECT_EQ(rib2.str(), rib1.str());
 
   // Datasets: re-encode and re-export byte-identically.
@@ -471,6 +471,36 @@ TEST(SnapshotSerde, DuplicateKeysInEverySectionAreMalformed) {
     EXPECT_EQ(reason, SnapshotErrorReason::kMalformed) << c.section;
     EXPECT_NE(message.find(c.message), std::string::npos) << c.section << ": " << message;
   }
+}
+
+TEST(SnapshotSerde, RibOriginOutsideAsDatabaseIsMalformed) {
+  // EncodeWorld refuses a RIB origin without an AS database record; an
+  // image forged to hold one, behind valid CRCs, must not decode either.
+  const Artifacts a = Build(1);
+  constexpr asdb::AsNumber kUnknown = 0xFFFFFFFFU;
+  ASSERT_EQ(a.world.as_db().Find(kUnknown), nullptr);
+  std::vector<Section> sections = EncodeWorld(a.world);
+  bool found = false;
+  for (Section& s : sections) {
+    if (s.name != "world.rib") continue;
+    found = true;
+    ByteReader r(s.payload);
+    const std::uint64_t count = r.Varint();
+    ASSERT_GT(count, 0u);
+    (void)r.Varint();  // the first row's origin
+    ByteWriter w;
+    w.Varint(count);
+    w.Varint(kUnknown);
+    w.Bytes(std::string_view(s.payload).substr(s.payload.size() - r.remaining()));
+    s.payload = std::move(w).Take();
+  }
+  ASSERT_TRUE(found);
+  const auto [reason, message] =
+      ErrorOf([&] { (void)DecodeWorld(DecodeSnapshot(EncodeSnapshot(sections))); });
+  EXPECT_EQ(reason, SnapshotErrorReason::kMalformed);
+  EXPECT_NE(message.find("RIB has announcements from ASNs outside the AS database"),
+            std::string::npos)
+      << message;
 }
 
 TEST(SnapshotRoundtrip, ImageIsIdenticalAtAnyThreadCount) {

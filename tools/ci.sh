@@ -13,7 +13,8 @@
 #                            # query source and table join under TSan
 #   tools/ci.sh stream-chaos # streaming chaos harness under ASan and TSan
 #   tools/ci.sh query        # columnar query engine tests under ASan
-#   tools/ci.sh lpm          # flat LPM engine differential + consumers, ASan then TSan
+#   tools/ci.sh lpm          # flat LPM + routing table differentials, consumers and
+#                            # RIB builders/readers, ASan then TSan
 #   tools/ci.sh lint         # cellspot-audit (rules + layering, baseline-gated)
 #                            # + header self-containment + -Werror build
 #   tools/ci.sh audit        # lint, then the audit/layering fixture suites and
@@ -194,29 +195,27 @@ run_query() {
   rm -rf "$snaps"
 }
 
-# The flat LPM engine end to end: the differential suite (FlatLpm vs
-# PrefixTrie on seeded random sets, the mmap-served snapshot section,
-# the corruption matrix), every lookup-path consumer and the netaddr
-# suites under ASan+UBSan (UBSan checks each prefix-mask shift at /0,
-# /32 and /128), then the same differential suite and the pipeline
-# determinism matrix under TSan with a forced multi-worker pool, so the
-# chunked batch seam and the RoutingTable's lazily published engine are
-# exercised with real interleavings.
+# The flat LPM engine end to end: the differential suite (FlatLpm and
+# the sorted RoutingTable vs the reference trie on seeded random sets
+# and announcement sequences, the mmap-served snapshot section, the
+# corruption matrix), every lookup-path consumer, every builder and
+# reader of the routing table (world generation, the RIB CSV and the
+# world snapshot with its corruption matrix) and the netaddr suites
+# under ASan+UBSan (UBSan checks each prefix-mask shift at /0, /32 and
+# /128), then the same differential suite and the pipeline determinism
+# matrix under TSan with a forced multi-worker pool, so batch lookups
+# inside executor chunks and the RoutingTable's lazily published engine
+# are exercised with real interleavings.
 run_lpm() {
+  local targets="lpm_differential_test netaddr_prefix_trie_test netaddr_prefix_test \
+netaddr_property_test netaddr_ip_address_test core_cellular_map_test asdb_test \
+snapshot_cache_test asdb_serialization_test simnet_world_test snapshot_roundtrip_test \
+snapshot_corruption_test"
   local dir="build-asan"
   cmake -B "$dir" -S . -DCELLSPOT_SANITIZE=address
-  cmake --build "$dir" -j "$jobs" --target \
-    lpm_differential_test netaddr_prefix_trie_test netaddr_prefix_test \
-    netaddr_property_test netaddr_ip_address_test core_cellular_map_test \
-    asdb_test snapshot_cache_test
-  "$dir/tests/lpm_differential_test"
-  "$dir/tests/netaddr_prefix_trie_test"
-  "$dir/tests/netaddr_prefix_test"
-  "$dir/tests/netaddr_property_test"
-  "$dir/tests/netaddr_ip_address_test"
-  "$dir/tests/core_cellular_map_test"
-  "$dir/tests/asdb_test"
-  "$dir/tests/snapshot_cache_test"
+  # shellcheck disable=SC2086
+  cmake --build "$dir" -j "$jobs" --target $targets
+  for t in $targets; do "$dir/tests/$t"; done
 
   dir="build-tsan"
   cmake -B "$dir" -S . -DCELLSPOT_SANITIZE=thread

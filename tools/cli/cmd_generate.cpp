@@ -52,9 +52,7 @@ int CmdGenerate(const Options& opts) {
       save("asdb.csv",
            [&](std::ostream& out) { asdb::SaveAsDatabaseCsv(world.as_db(), out); }) &&
       save("rib.csv",
-           [&](std::ostream& out) {
-             asdb::SaveRoutingTableCsv(world.rib(), world.as_db(), out);
-           }) &&
+           [&](std::ostream& out) { asdb::SaveRoutingTableCsv(world.rib(), out); }) &&
       save("truth.csv", [&](std::ostream& out) {
         util::CsvWriter writer(out);
         writer.WriteRow({"block", "asn", "cellular"});
