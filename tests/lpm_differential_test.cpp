@@ -21,6 +21,7 @@
 #include <optional>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -250,28 +251,66 @@ TEST(FlatLpmDifferential, EncodeDecodeViewRoundTrip) {
   ExpectSameLookups(trie, view, probes);
 }
 
+/// True when Decode rejects `bytes` with a FlatLpmError; any other
+/// exception escapes to the test.
+bool DecodeRejects(std::string_view bytes) {
+  try {
+    (void)FlatLpm<std::uint32_t>::Decode(bytes);
+  } catch (const FlatLpmError&) {
+    return true;
+  }
+  return false;
+}
+
 TEST(FlatLpmDifferential, DecodeRejectsStructuralDamageWithoutCrashing) {
   util::Rng rng(777);
-  const std::vector<Prefix> prefixes = RandomPrefixSet(rng, 120);
+  // Each family is drawn until it compiles to FlatLpm's bucket-table
+  // threshold (64 segments), so the payload carries both tables and the
+  // damage below covers every part of the layout.
+  constexpr std::uint64_t kIndexThreshold = 64;
   PrefixTrie<std::uint32_t> trie;
-  for (std::size_t i = 0; i < prefixes.size(); ++i) {
-    trie.Insert(prefixes[i], static_cast<std::uint32_t>(i + 1));
+  std::uint32_t next_value = 1;
+  for (const Family family : {Family::kIpv4, Family::kIpv6}) {
+    PrefixTrie<std::uint32_t> own;
+    while (BuildFrom(own).segment_count() < kIndexThreshold) {
+      for (const Prefix& p : RandomPrefixSet(rng, 8)) {
+        if (p.family() != family) continue;
+        own.Insert(p, next_value);
+        trie.Insert(p, next_value++);
+      }
+    }
   }
   const std::string payload = BuildFrom(trie).Encode();
+  const auto header_u64 = [&payload](std::size_t offset) {
+    std::uint64_t v = 0;
+    for (std::size_t i = 8; i-- > 0;) {
+      v = v << 8 | static_cast<unsigned char>(payload[offset + i]);
+    }
+    return v;
+  };
+  const std::uint64_t n_prefixes = header_u64(8);
+  const std::uint64_t s4 = header_u64(16);
+  const std::uint64_t s6 = header_u64(24);
+  ASSERT_GE(s4, kIndexThreshold);
+  ASSERT_GE(s6, kIndexThreshold);
+  constexpr std::uint64_t kBucketTableBytes = 65537 * 4;
+  ASSERT_EQ(payload.size(),
+            34 + n_prefixes * 5 + s4 * 12 + s6 * 36 + 2 * kBucketTableBytes);
 
   // Truncations at every length must throw, never read out of bounds.
+  // Each is rejected from the header alone, before any copy.
   for (std::size_t len = 0; len < payload.size(); len += 7) {
-    EXPECT_THROW((void)FlatLpm<std::uint32_t>::Decode(payload.substr(0, len)),
-                 FlatLpmError);
+    EXPECT_TRUE(DecodeRejects(std::string_view(payload).substr(0, len))) << len;
   }
   // Random byte flips: below the FlatLpm layer there is no CRC, so a
   // flip either trips validation (FlatLpmError) or lands in a value
   // slot and yields a well-formed engine — but never a crash. The
   // snapshot container's CRC is what catches the silent case on disk.
+  std::string bent = payload;
   for (int i = 0; i < 300; ++i) {
-    std::string bent = payload;
-    bent[rng.UniformInt(0, bent.size() - 1)] ^=
-        static_cast<char>(1U << rng.UniformInt(0, 7));
+    const std::size_t at = rng.UniformInt(0, bent.size() - 1);
+    const auto bit = static_cast<char>(1U << rng.UniformInt(0, 7));
+    bent[at] ^= bit;
     try {
       const auto decoded = FlatLpm<std::uint32_t>::Decode(bent);
       (void)decoded.LongestMatch(IpAddress::Parse("10.1.2.3"));
@@ -279,6 +318,7 @@ TEST(FlatLpmDifferential, DecodeRejectsStructuralDamageWithoutCrashing) {
     } catch (const FlatLpmError&) {
       // rejected: fine
     }
+    bent[at] ^= bit;
   }
 }
 
