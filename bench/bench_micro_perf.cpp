@@ -1,6 +1,6 @@
 // Microbenchmarks of the pipeline's hot paths (google-benchmark):
 // routing-table build and longest-prefix match, block classification, beacon log
-// parsing, and per-block aggregate generation. These are not paper
+// parsing, per-block aggregate generation, and RNG seeding. These are not paper
 // experiments; they bound the cost of scaling the world up.
 #include <benchmark/benchmark.h>
 
@@ -12,6 +12,7 @@
 #include "cellspot/core/cellular_map.hpp"
 #include "cellspot/core/classifier.hpp"
 #include "cellspot/simnet/world.hpp"
+#include "cellspot/util/rng.hpp"
 
 namespace {
 
@@ -146,6 +147,28 @@ void BM_WorldGeneration(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_WorldGeneration)->Unit(benchmark::kMillisecond);
+
+// The dataset generators seed one util::Rng per subnet and draw from it:
+// this is that construction plus a first draw.
+void BM_RngConstructAndDraw(benchmark::State& state) {
+  std::uint64_t seed = 20161224;
+  for (auto _ : state) {
+    util::Rng rng(seed++);
+    benchmark::DoNotOptimize(rng.UniformDouble());
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_RngConstructAndDraw);
+
+// The sequential prepass behind every parallel generator: one fork seed
+// per subnet, one engine step each.
+void BM_RngForkSeed(benchmark::State& state) {
+  util::Rng rng(20161224);
+  std::uint64_t stream = 0;
+  for (auto _ : state) benchmark::DoNotOptimize(rng.ForkSeed(stream++));
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_RngForkSeed);
 
 }  // namespace
 
