@@ -12,11 +12,14 @@
 // engine views the mapped payload and pins it (FlatLpm::View), so a
 // warm start adopts the compiled engine without rebuilding or copying.
 //
-// <key> is 16 hex digits of FNV-1a-64 over the snapshot format version
-// and the canonical byte encoding of every config the stage depends on
-// (the world config; plus the classifier config for the classified
-// stage), so changing any knob — or bumping the format — keys a
-// different file and stale snapshots are simply never opened.
+// <key> is 16 hex digits of FNV-1a-64 over the snapshot format version,
+// the RNG stream version (util::kRngStreamVersion) and the canonical
+// byte encoding of every config the stage depends on: WorldKey for the
+// world, datasets and lpm entries, ClassifiedKey (which adds the
+// classifier config) for the classified entry. Changing any knob,
+// bumping the format or changing what a seed draws keys a different
+// file, so stale snapshots are simply never opened. Stream checkpoints
+// share ClassifiedKey as their compatibility hash.
 //
 // Loads are corruption-tolerant: any SnapshotError is reported on
 // stderr, counted under obs 'snapshot.miss.<reason>', the offending
@@ -50,6 +53,14 @@ namespace cellspot::snapshot {
 /// FNV-1a 64-bit, the cache-key hash. Exposed for tests.
 [[nodiscard]] std::uint64_t Fnv1a64(std::string_view bytes,
                                     std::uint64_t seed = 0xcbf29ce484222325ULL) noexcept;
+
+/// The key of the world, datasets and lpm entries.
+[[nodiscard]] std::uint64_t WorldKey(const simnet::WorldConfig& config);
+
+/// The key of the classified entry: the world key extended by the
+/// classifier config.
+[[nodiscard]] std::uint64_t ClassifiedKey(const simnet::WorldConfig& config,
+                                          const core::ClassifierConfig& classifier);
 
 class StageCache {
  public:

@@ -11,6 +11,7 @@
 #include "cellspot/snapshot/serde.hpp"
 #include "cellspot/snapshot/snapshot.hpp"
 #include "cellspot/util/retry.hpp"
+#include "cellspot/util/rng.hpp"
 
 namespace cellspot::snapshot {
 
@@ -36,10 +37,6 @@ std::string Hex16(std::uint64_t v) {
     v >>= 4;
   }
   return out;
-}
-
-std::uint64_t WorldKey(const simnet::WorldConfig& config) {
-  return Fnv1a64(EncodeWorldConfig(config), 0xcbf29ce484222325ULL ^ kSnapshotFormatVersion);
 }
 
 std::filesystem::path EntryPath(const std::filesystem::path& dir, std::string_view stage,
@@ -87,6 +84,17 @@ std::uint64_t Fnv1a64(std::string_view bytes, std::uint64_t seed) noexcept {
     h *= 0x100000001b3ULL;
   }
   return h;
+}
+
+std::uint64_t WorldKey(const simnet::WorldConfig& config) {
+  const std::string stream = "rng-stream " + std::to_string(util::kRngStreamVersion);
+  return Fnv1a64(EncodeWorldConfig(config),
+                 Fnv1a64(stream, 0xcbf29ce484222325ULL ^ kSnapshotFormatVersion));
+}
+
+std::uint64_t ClassifiedKey(const simnet::WorldConfig& config,
+                            const core::ClassifierConfig& classifier) {
+  return Fnv1a64(EncodeClassifierConfig(classifier), WorldKey(config));
 }
 
 bool StageCache::Quarantine(const std::filesystem::path& path) const {
@@ -144,8 +152,7 @@ std::filesystem::path StageCache::DatasetsPath(const simnet::WorldConfig& config
 
 std::filesystem::path StageCache::ClassifiedPath(
     const simnet::WorldConfig& config, const core::ClassifierConfig& classifier) const {
-  return EntryPath(dir_, "classified",
-                   Fnv1a64(EncodeClassifierConfig(classifier), WorldKey(config)));
+  return EntryPath(dir_, "classified", ClassifiedKey(config, classifier));
 }
 
 std::filesystem::path StageCache::LpmPath(const simnet::WorldConfig& config) const {

@@ -8,7 +8,6 @@
 #include "cellspot/core/sharded_aggregation.hpp"
 #include "cellspot/obs/metrics.hpp"
 #include "cellspot/snapshot/binary_io.hpp"
-#include "cellspot/snapshot/serde.hpp"
 #include "cellspot/snapshot/stage_cache.hpp"
 
 namespace cellspot::stream {
@@ -61,9 +60,7 @@ StreamDaemon::StreamDaemon(const simnet::World& world, core::ClassifierConfig cl
 
 std::uint64_t StreamDaemon::ConfigHash(const simnet::WorldConfig& world,
                                        const core::ClassifierConfig& classifier) {
-  std::uint64_t key = snapshot::Fnv1a64(snapshot::EncodeWorldConfig(world),
-                                        0xcbf29ce484222325ULL ^ snapshot::kSnapshotFormatVersion);
-  return snapshot::Fnv1a64(snapshot::EncodeClassifierConfig(classifier), key);
+  return snapshot::ClassifiedKey(world, classifier);
 }
 
 void StreamDaemon::Reclassify(Slot& slot) {

@@ -129,8 +129,9 @@ class StreamDaemon {
   [[nodiscard]] SubnetLiveness liveness(std::uint32_t subnet) const;
   [[nodiscard]] std::size_t count_in(SubnetLiveness state) const;
 
-  /// Hash keying checkpoint compatibility: world + classifier config
-  /// (same inputs the StageCache folds into its file names).
+  /// Hash keying checkpoint compatibility: the stage cache's classified
+  /// key (snapshot::ClassifiedKey), over the format and RNG stream
+  /// versions and the world and classifier configs.
   [[nodiscard]] static std::uint64_t ConfigHash(const simnet::WorldConfig& world,
                                                const core::ClassifierConfig& classifier);
 

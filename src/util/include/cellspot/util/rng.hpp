@@ -5,9 +5,11 @@
 #pragma once
 
 #include <algorithm>
+#include <array>
 #include <cassert>
 #include <cmath>
 #include <cstdint>
+#include <limits>
 #include <random>
 #include <span>
 #include <stdexcept>
@@ -15,8 +17,14 @@
 
 namespace cellspot::util {
 
-/// Thin wrapper over mt19937_64 with convenience draws. Cheap to copy
-/// (callers usually hold one per component, forked via Fork()).
+/// Names the sequence of draws every seed produces. Bump it whenever a
+/// seed's draws change (a new engine, seeding or draw order): the
+/// snapshot world key mixes it in, so caches and stream checkpoints
+/// written under another stream are never opened.
+inline constexpr std::uint64_t kRngStreamVersion = 2;
+
+/// Convenience draws over a xoshiro256** engine. Cheap to construct and
+/// copy (callers usually hold one per component, forked via Fork()).
 class Rng {
  public:
   explicit Rng(std::uint64_t seed) : engine_(seed) {}
@@ -42,6 +50,7 @@ class Rng {
   }
 
   /// Uniform integer in [lo, hi] inclusive. Requires lo <= hi.
+  /// UniformInt(0, UINT64_MAX) is one raw engine output.
   [[nodiscard]] std::uint64_t UniformInt(std::uint64_t lo, std::uint64_t hi) {
     assert(lo <= hi);
     return std::uniform_int_distribution<std::uint64_t>(lo, hi)(engine_);
@@ -72,10 +81,51 @@ class Rng {
     return std::binomial_distribution<std::uint64_t>(n, p)(engine_);
   }
 
-  std::mt19937_64& engine() noexcept { return engine_; }
-
  private:
-  std::mt19937_64 engine_;
+  /// xoshiro256** (Blackman and Vigna, prng.di.unimi.it), its four
+  /// state words four successive SplitMix64 outputs of the seed, as in
+  /// the published reference code. Construction is O(1) and the state
+  /// is 32 bytes. A UniformRandomBitGenerator: the std:: distributions
+  /// draw from it directly.
+  class Engine {
+   public:
+    using result_type = std::uint64_t;
+
+    explicit Engine(std::uint64_t seed) noexcept {
+      for (std::uint64_t& word : s_) {
+        std::uint64_t z = (seed += 0x9E3779B97F4A7C15ULL);
+        z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ULL;
+        z = (z ^ (z >> 27)) * 0x94D049BB133111EBULL;
+        word = z ^ (z >> 31);
+      }
+    }
+
+    static constexpr result_type min() noexcept { return 0; }
+    static constexpr result_type max() noexcept {
+      return std::numeric_limits<result_type>::max();
+    }
+
+    result_type operator()() noexcept {
+      const std::uint64_t result = Rotl(s_[1] * 5, 7) * 9;
+      const std::uint64_t t = s_[1] << 17;
+      s_[2] ^= s_[0];
+      s_[3] ^= s_[1];
+      s_[1] ^= s_[2];
+      s_[0] ^= s_[3];
+      s_[2] ^= t;
+      s_[3] = Rotl(s_[3], 45);
+      return result;
+    }
+
+   private:
+    static constexpr std::uint64_t Rotl(std::uint64_t x, int k) noexcept {
+      return (x << k) | (x >> (64 - k));
+    }
+
+    std::array<std::uint64_t, 4> s_{};
+  };
+
+  Engine engine_;
 };
 
 /// Zipf sampler over ranks 1..n with exponent s, implemented by inverse

@@ -7,8 +7,10 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <atomic>
 #include <cstdint>
+#include <cstdio>
 #include <cstdlib>
 #include <filesystem>
 #include <sstream>
@@ -165,6 +167,66 @@ TEST(StageCachePipeline, ClassifierConfigKeysOnlyTheClassifiedStage) {
   reclass.set_classifier({});
   (void)reclass.Classify();
   EXPECT_EQ(CounterValue("snapshot.hit"), 1u);
+}
+
+/// The world key before the RNG stream version joined it: FNV-1a-64
+/// over the world config, seeded by the snapshot format version.
+std::uint64_t KeyWithoutRngStream(const simnet::WorldConfig& config) {
+  return snapshot::Fnv1a64(snapshot::EncodeWorldConfig(config),
+                           0xcbf29ce484222325ULL ^ snapshot::kSnapshotFormatVersion);
+}
+
+std::string Hex16(std::uint64_t v) {
+  std::array<char, 17> buf{};
+  std::snprintf(buf.data(), buf.size(), "%016llx", static_cast<unsigned long long>(v));
+  return buf.data();
+}
+
+TEST(StageCachePipeline, EntriesUnderAKeyWithoutTheRngStreamAreNeverOpened) {
+  // Another world's entries, filed under the names the key without the
+  // RNG stream version gives Tiny(): what a binary drawing other
+  // streams leaves in a shared directory. Served, they would be a warm
+  // hit that no cold run reproduces.
+  const fs::path stale_src = FreshDir("stale_src");
+  Pipeline::Config other{.world = simnet::WorldConfig::Tiny(),
+                         .snapshot_dir = stale_src.string()};
+  other.world.seed += 1;
+  Pipeline(other).Run();
+  const snapshot::StageCache src_cache(stale_src);
+
+  const simnet::WorldConfig tiny = simnet::WorldConfig::Tiny();
+  const std::uint64_t world_key = KeyWithoutRngStream(tiny);
+  const std::uint64_t classified_key =
+      snapshot::Fnv1a64(snapshot::EncodeClassifierConfig({}), world_key);
+  const fs::path dir = FreshDir("stale");
+  fs::create_directories(dir);
+  for (const auto& [from, name] :
+       {std::pair{src_cache.WorldPath(other.world), "world." + Hex16(world_key)},
+        std::pair{src_cache.DatasetsPath(other.world), "datasets." + Hex16(world_key)},
+        std::pair{src_cache.LpmPath(other.world), "lpm." + Hex16(world_key)},
+        std::pair{src_cache.ClassifiedPath(other.world, {}),
+                  "classified." + Hex16(classified_key)}}) {
+    fs::copy_file(from, dir / (name + ".snap"));
+  }
+
+  obs::MetricsRegistry::Global().ResetForTest();
+  Pipeline pipeline({.world = tiny, .snapshot_dir = dir.string()});
+  pipeline.Run();
+  EXPECT_EQ(CounterValue("snapshot.hit"), 0u);
+  // Clean misses: nothing was opened, so nothing was quarantined.
+  EXPECT_EQ(CounterValue("snapshot.miss.absent"), 4u);
+  EXPECT_EQ(CounterValue("snapshot.miss"), 4u);
+  for (const auto& entry : fs::directory_iterator(dir)) {
+    EXPECT_NE(entry.path().extension(), ".corrupt") << entry.path();
+  }
+
+  Pipeline cold({.world = tiny});
+  cold.Run();
+  EXPECT_EQ(Exports(pipeline.experiment()), Exports(cold.experiment()));
+  EXPECT_EQ(pipeline.experiment().classified.cellular(),
+            cold.experiment().classified.cellular());
+  EXPECT_EQ(pipeline.experiment().filtered.kept.size(),
+            cold.experiment().filtered.kept.size());
 }
 
 TEST(StageCachePipeline, EmptySnapshotDirDisablesCaching) {

@@ -18,6 +18,7 @@
 #include "cellspot/snapshot/binary_io.hpp"
 #include "cellspot/snapshot/serde.hpp"
 #include "cellspot/snapshot/snapshot.hpp"
+#include "cellspot/snapshot/stage_cache.hpp"
 #include "cellspot/stream/event.hpp"
 
 namespace cellspot::stream {
@@ -303,6 +304,41 @@ TEST(StreamDaemon, ClassifierConfigChangesInvalidateCheckpoints) {
   reseeded.seed += 1;
   EXPECT_NE(StreamDaemon::ConfigHash(simnet::WorldConfig::Tiny(), {}),
             StreamDaemon::ConfigHash(reseeded, {}));
+}
+
+TEST(StreamDaemon, ConfigHashIsTheClassifiedStageKey) {
+  core::ClassifierConfig strict;
+  strict.min_netinfo_hits = 50;
+  for (const core::ClassifierConfig& classifier : {core::ClassifierConfig{}, strict}) {
+    EXPECT_EQ(StreamDaemon::ConfigHash(simnet::WorldConfig::Tiny(), classifier),
+              snapshot::ClassifiedKey(simnet::WorldConfig::Tiny(), classifier));
+  }
+}
+
+TEST(StreamDaemon, CheckpointUnderAHashWithoutTheRngStreamIsNotRestored) {
+  // The compatibility hash before the RNG stream version joined it.
+  const simnet::WorldConfig tiny = simnet::WorldConfig::Tiny();
+  const std::uint64_t old_hash = snapshot::Fnv1a64(
+      snapshot::EncodeClassifierConfig({}),
+      snapshot::Fnv1a64(snapshot::EncodeWorldConfig(tiny),
+                        0xcbf29ce484222325ULL ^ snapshot::kSnapshotFormatVersion));
+  const auto dir = FreshDir("daemon_ckpt_old_stream");
+  {
+    CheckpointStore old_store(dir, old_hash);
+    StreamDaemon writer(TinyWorld(), {}, {}, &old_store);
+    writer.queue().Push(BeaconFrame(0, 1, 10, 9));
+    writer.Tick();
+    ASSERT_TRUE(writer.Checkpoint());
+    // Under its own hash the checkpoint restores, so the skip below is
+    // the hash's doing.
+    StreamDaemon reader(TinyWorld(), {}, {}, &old_store);
+    ASSERT_TRUE(reader.TryRestore());
+  }
+  CheckpointStore store(dir, StreamDaemon::ConfigHash(tiny, {}));
+  StreamDaemon daemon(TinyWorld(), {}, {}, &store);
+  EXPECT_FALSE(daemon.TryRestore());
+  EXPECT_EQ(daemon.tick(), 0u);
+  EXPECT_EQ(daemon.ExportBeacons().block_count(), 0u);
 }
 
 TEST(StreamDaemon, RunUntilClosedDrainsEverythingAcrossManyTicks) {

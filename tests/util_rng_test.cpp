@@ -2,10 +2,110 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
+#include <cstdint>
+#include <limits>
 #include <vector>
 
 namespace cellspot::util {
 namespace {
+
+// The published reference code (prng.di.unimi.it: splitmix64.c and
+// xoshiro256starstar.c), transcribed as it is written there.
+struct ReferenceXoshiro256StarStar {
+  std::uint64_t x;  // SplitMix64 state
+  std::uint64_t s[4];
+
+  std::uint64_t SplitMix64Next() {
+    std::uint64_t z = (x += 0x9e3779b97f4a7c15);
+    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9;
+    z = (z ^ (z >> 27)) * 0x94d049bb133111eb;
+    return z ^ (z >> 31);
+  }
+
+  static std::uint64_t rotl(const std::uint64_t x, int k) {
+    return (x << k) | (x >> (64 - k));
+  }
+
+  explicit ReferenceXoshiro256StarStar(std::uint64_t seed) : x(seed) {
+    for (std::uint64_t& word : s) word = SplitMix64Next();
+  }
+
+  std::uint64_t next() {
+    const std::uint64_t result = rotl(s[1] * 5, 7) * 9;
+    const std::uint64_t t = s[1] << 17;
+    s[2] ^= s[0];
+    s[3] ^= s[1];
+    s[1] ^= s[2];
+    s[0] ^= s[3];
+    s[2] ^= t;
+    s[3] = rotl(s[3], 45);
+    return result;
+  }
+};
+
+constexpr std::uint64_t kAllBits = std::numeric_limits<std::uint64_t>::max();
+
+TEST(Rng, RawDrawsMatchTheReferenceXoshiro256StarStar) {
+  for (const std::uint64_t seed :
+       {std::uint64_t{0}, std::uint64_t{1}, std::uint64_t{42}, std::uint64_t{20161224},
+        std::uint64_t{0x9E3779B97F4A7C15}, kAllBits}) {
+    SCOPED_TRACE(seed);
+    ReferenceXoshiro256StarStar reference(seed);
+    Rng rng(seed);
+    for (int i = 0; i < 1000; ++i) ASSERT_EQ(rng.UniformInt(0, kAllBits), reference.next()) << i;
+  }
+}
+
+TEST(Rng, SeedFingerprints) {
+  const auto first_three = [](std::uint64_t seed) {
+    Rng rng(seed);
+    return std::array<std::uint64_t, 3>{rng.UniformInt(0, kAllBits), rng.UniformInt(0, kAllBits),
+                                        rng.UniformInt(0, kAllBits)};
+  };
+  EXPECT_EQ(first_three(0), (std::array<std::uint64_t, 3>{
+                                0x99ec5f36cb75f2b4, 0xbf6e1f784956452a, 0x1a5f849d4933e6e0}));
+  EXPECT_EQ(first_three(20161224),
+            (std::array<std::uint64_t, 3>{0x37086d0701612c79, 0x8b7cd1f53fc3914e,
+                                          0x1d470015c425d5b9}));
+}
+
+TEST(Rng, ForkAdvancesTheParentExactlyOneDraw) {
+  Rng forked(7);
+  Rng stepped(7);
+  (void)forked.Fork(3);
+  (void)stepped.UniformInt(0, kAllBits);
+  for (int i = 0; i < 100; ++i) {
+    ASSERT_EQ(forked.UniformInt(0, kAllBits), stepped.UniformInt(0, kAllBits)) << i;
+  }
+  // ForkSeed is the same one step, and Fork(s) is Rng(ForkSeed(s)).
+  Rng a(7);
+  Rng b(7);
+  Rng child = a.Fork(3);
+  Rng same(b.ForkSeed(3));
+  for (int i = 0; i < 100; ++i) {
+    ASSERT_EQ(child.UniformInt(0, kAllBits), same.UniformInt(0, kAllBits)) << i;
+  }
+  EXPECT_EQ(a.UniformInt(0, kAllBits), b.UniformInt(0, kAllBits));
+}
+
+TEST(Rng, CopyContinuesIdenticallyAndIndependently) {
+  Rng original(99);
+  for (int i = 0; i < 10; ++i) (void)original.UniformDouble();
+  Rng copy = original;
+  std::vector<std::uint64_t> from_copy;
+  for (int i = 0; i < 50; ++i) from_copy.push_back(copy.UniformInt(0, kAllBits));
+  // Drawing from the copy left the original where it was, so the
+  // original now draws the same values.
+  for (int i = 0; i < 50; ++i) ASSERT_EQ(original.UniformInt(0, kAllBits), from_copy[i]) << i;
+  // And the reverse: advancing the original leaves the copy alone.
+  const Rng before = copy;
+  for (int i = 0; i < 50; ++i) (void)original.UniformInt(0, kAllBits);
+  Rng replay = before;
+  for (int i = 0; i < 50; ++i) {
+    ASSERT_EQ(copy.UniformInt(0, kAllBits), replay.UniformInt(0, kAllBits)) << i;
+  }
+}
 
 TEST(Rng, DeterministicForSameSeed) {
   Rng a(42);
