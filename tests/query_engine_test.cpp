@@ -10,6 +10,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
@@ -392,6 +394,88 @@ TEST(QuerySource, DamagedLpmEntryFallsBackToCompiling) {
   // Quarantined in place, as the stage cache does.
   EXPECT_FALSE(fs::exists(lpm));
   EXPECT_TRUE(fs::exists(lpm.string() + ".corrupt"));
+}
+
+// ---- files keyed without the RNG stream version ----------------------------
+
+/// The world key before util::kRngStreamVersion joined it: FNV-1a-64
+/// over the world config, seeded by the snapshot format version.
+std::uint64_t KeyWithoutRngStream(const simnet::WorldConfig& config) {
+  return snapshot::Fnv1a64(snapshot::EncodeWorldConfig(config),
+                           0xcbf29ce484222325ULL ^ snapshot::kSnapshotFormatVersion);
+}
+
+std::string Hex16(std::uint64_t v) {
+  char buf[17];
+  std::snprintf(buf, sizeof buf, "%016llx", static_cast<unsigned long long>(v));
+  return buf;
+}
+
+TEST(QuerySource, DirectoryKeyedWithoutTheRngStreamOpensAndCompilesItsRib) {
+  // Every entry renamed to the names the key without the RNG stream
+  // gives Tiny(). The directory is still found by pattern, but its lpm
+  // entry is not under the decoded world's key, so the RIB compiles.
+  const fs::path dir = WritePipelineDir("query_source_old_keys");
+  exec::Executor executor(2);
+  const std::string reference =
+      RenderAll(LoadBundleFromDir(dir, BundleOptions{}, executor), executor);
+  const simnet::WorldConfig config = simnet::WorldConfig::Tiny();
+  const std::string world_key = Hex16(KeyWithoutRngStream(config));
+  const snapshot::StageCache cache(dir);
+  for (const auto& [path, name] :
+       {std::pair{cache.WorldPath(config), "world." + world_key},
+        std::pair{cache.DatasetsPath(config), "datasets." + world_key},
+        std::pair{cache.LpmPath(config), "lpm." + world_key},
+        std::pair{cache.ClassifiedPath(config, {}),
+                  "classified." + Hex16(snapshot::Fnv1a64(snapshot::EncodeClassifierConfig({}),
+                                                          KeyWithoutRngStream(config)))}}) {
+    fs::rename(path, dir / (name + ".snap"));
+  }
+
+  obs::MetricsRegistry::Global().ResetForTest();
+  EXPECT_EQ(RenderAll(LoadBundleFromDir(dir, BundleOptions{}, executor), executor), reference);
+  EXPECT_EQ(CounterValue("lpm.adopt"), 0u);
+  EXPECT_EQ(CounterValue("lpm.build"), 1u);
+  EXPECT_EQ(CounterValue("snapshot.miss.absent"), 1u);
+}
+
+TEST(QuerySource, CheckpointUnderAHashWithoutTheRngStreamIsABadSource) {
+  // The world file decodes, but a checkpoint saved under the hash from
+  // before the RNG stream version joined it does not restore against
+  // it: a bad source, which the CLI reports with exit 5.
+  const fs::path dir = FreshDir("query_source_ckpt_old_stream");
+  const SnapshotFiles files = WriteTinySnapshots(dir);
+  const fs::path ckpt_dir = dir / "ckpt";
+  const std::uint64_t old_hash =
+      snapshot::Fnv1a64(snapshot::EncodeClassifierConfig({}),
+                        KeyWithoutRngStream(TinyExp().world.config()));
+  stream::CheckpointStore store(ckpt_dir, old_hash);
+  stream::DaemonConfig daemon_config;
+  daemon_config.backpressure = stream::BackpressurePolicy::kBlock;
+  stream::StreamDaemon daemon(TinyExp().world, {}, daemon_config, &store);
+  std::thread producer([&] {
+    const cdn::EventStreamGenerator generator(TinyExp().world,
+                                              cdn::EventStreamConfig{.rounds = 1});
+    for (std::string& frame : generator.GenerateFrames()) {
+      (void)daemon.queue().Push(std::move(frame));
+    }
+    daemon.queue().Close();
+  });
+  daemon.RunUntilClosed();
+  producer.join();
+  ASSERT_TRUE(daemon.Checkpoint());
+  // Under its own hash the checkpoint restores, so the rejection below
+  // is the hash's doing.
+  stream::StreamDaemon reader(TinyExp().world, {}, {}, &store);
+  ASSERT_TRUE(reader.TryRestore());
+
+  exec::Executor executor(2);
+  try {
+    (void)LoadBundleFromCheckpoint(files.world, ckpt_dir, BundleOptions{}, executor);
+    FAIL() << "expected QueryError";
+  } catch (const QueryError& e) {
+    EXPECT_EQ(e.code(), QueryErrorCode::kBadSource);
+  }
 }
 
 }  // namespace
