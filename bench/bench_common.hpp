@@ -33,6 +33,7 @@
 #include "cellspot/exec/executor.hpp"
 #include "cellspot/obs/bench.hpp"
 #include "cellspot/obs/metrics.hpp"
+#include "cellspot/obs/trace.hpp"
 #include "cellspot/util/stats.hpp"
 #include "cellspot/util/strings.hpp"
 #include "cellspot/util/table.hpp"
@@ -204,6 +205,16 @@ inline int RunBench(int argc, char** argv, const std::string& name,
     return 3;
   }
   return 0;
+}
+
+/// Runs `body` under one obs::TraceSpan named `name`, so each timed
+/// region of a bench is a span row in the run's metrics, and returns
+/// its wall time in ms.
+template <typename Body>
+double TimedSpan(std::string_view name, Body&& body) {
+  obs::TraceSpan span(name);
+  body();
+  return span.elapsed_ms();
 }
 
 inline void PrintHeader(const std::string& experiment, const std::string& what,

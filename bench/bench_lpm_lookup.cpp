@@ -13,7 +13,6 @@
 // pipeline run supplies end-to-end classify-stage timings so the
 // micro numbers stay anchored to the real lookup path.
 #include <array>
-#include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <span>
@@ -102,12 +101,6 @@ std::vector<IpAddress> BuildProbes(util::Rng& rng, const std::vector<Prefix>& pr
   return probes;
 }
 
-double MsSince(std::chrono::steady_clock::time_point start) {
-  return std::chrono::duration<double, std::milli>(std::chrono::steady_clock::now() -
-                                                   start)
-      .count();
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -143,18 +136,17 @@ int main(int argc, char** argv) {
   exec::Executor& executor = exec::Executor::Shared();
   const int rc = bench::RunBench(argc, argv, "lpm_lookup", [&]() -> std::uint64_t {
     // Per-item trie walks, the pre-refactor lookup path.
-    auto start = std::chrono::steady_clock::now();
     std::uint64_t trie_hits = 0;
-    for (const IpAddress& addr : probes) {
-      if (trie.LongestMatch(addr) != nullptr) ++trie_hits;
-    }
-    const double trie_ms = MsSince(start);
+    const double trie_ms = bench::TimedSpan("lpm.bench.trie", [&] {
+      for (const IpAddress& addr : probes) {
+        if (trie.LongestMatch(addr) != nullptr) ++trie_hits;
+      }
+    });
 
     // Single-thread flat batch over the packed ranges.
     std::vector<std::uint32_t> out(probes.size());
-    start = std::chrono::steady_clock::now();
-    flat.LongestMatchBatch(probes, out, 0u);
-    const double flat_ms = MsSince(start);
+    const double flat_ms =
+        bench::TimedSpan("lpm.bench.flat", [&] { flat.LongestMatchBatch(probes, out, 0u); });
     std::uint64_t flat_hits = 0;
     for (const std::uint32_t v : out) {
       if (v != 0) ++flat_hits;
@@ -164,12 +156,12 @@ int main(int argc, char** argv) {
     std::vector<std::uint32_t> chunked(probes.size());
     const std::span<const IpAddress> in(probes);
     const std::span<std::uint32_t> chunked_out(chunked);
-    start = std::chrono::steady_clock::now();
-    executor.ParallelFor(probes.size(), kGrain, [&](std::size_t begin, std::size_t end) {
-      flat.LongestMatchBatch(in.subspan(begin, end - begin),
-                             chunked_out.subspan(begin, end - begin), 0u);
+    const double chunked_ms = bench::TimedSpan("lpm.bench.chunked", [&] {
+      executor.ParallelFor(probes.size(), kGrain, [&](std::size_t begin, std::size_t end) {
+        flat.LongestMatchBatch(in.subspan(begin, end - begin),
+                               chunked_out.subspan(begin, end - begin), 0u);
+      });
     });
-    const double chunked_ms = MsSince(start);
 
     if (flat_hits != trie_hits || chunked != out) {
       std::fprintf(stderr, "lpm_lookup: engines disagree (trie %llu, flat %llu)\n",
@@ -177,10 +169,6 @@ int main(int argc, char** argv) {
                    static_cast<unsigned long long>(flat_hits));
       return 0;  // forces the items-consistency check to flag the run
     }
-
-    obs::MetricsRegistry::Global().latency("lpm.bench.trie").Record(trie_ms);
-    obs::MetricsRegistry::Global().latency("lpm.bench.flat").Record(flat_ms);
-    obs::MetricsRegistry::Global().latency("lpm.bench.chunked").Record(chunked_ms);
 
     bench::PrintHeader("lpm_lookup", "FlatLpm batch vs reference-trie per-item lookups",
                        pipe_config.world);

@@ -4,12 +4,13 @@
 // world/datasets/classified containers, build the columnar tables, run
 // all three paper presets plus one ad-hoc grouped plan. The snapshots
 // are written once outside the timed region, so rep wall times measure
-// decode + table build + plan evaluation only. Per-stage latencies
+// decode + table build + plan evaluation only. Each stage is a span
 // ("query.load_bundle", "query.build_tables", then "query.filter" …
-// "query.sort") accumulate in the metrics registry and land in the
-// --json-out / --metrics-out documents as histograms.
+// "query.sort"); its row (n, total, min, max) accumulates in the metrics
+// registry and lands in the --json-out / --metrics-out documents.
 #include <cstdio>
 #include <filesystem>
+#include <string_view>
 
 #include "bench_common.hpp"
 #include "cellspot/query/engine.hpp"
@@ -22,11 +23,15 @@ namespace {
 
 using namespace cellspot;
 
-void PrintStage(const char* name) {
-  const obs::LatencyHistogram& h = obs::MetricsRegistry::Global().latency(name);
-  std::printf("  %-18s n=%-4llu p50 %7.3f ms  p90 %7.3f ms  max %7.3f ms\n", name,
-              static_cast<unsigned long long>(h.count()), h.ApproxQuantileMs(0.5),
-              h.ApproxQuantileMs(0.9), h.max_ms());
+void PrintStage(const obs::MetricsSnapshot& snap, std::string_view path) {
+  obs::MetricsSnapshot::SpanRow row;
+  for (const obs::MetricsSnapshot::SpanRow& r : snap.spans) {
+    if (r.path == path) row = r;
+  }
+  const double mean = row.count > 0 ? row.total_ms / static_cast<double>(row.count) : 0.0;
+  std::printf("  %-18.*s n=%-4llu mean %7.3f ms  min %7.3f ms  max %7.3f ms\n",
+              static_cast<int>(path.size()), path.data(),
+              static_cast<unsigned long long>(row.count), mean, row.min_ms, row.max_ms);
 }
 
 }  // namespace
@@ -75,13 +80,12 @@ int main(int argc, char** argv) {
                        config);
     std::printf("world: %zu demand blocks, %zu beacon blocks\n",
                 bundle.demand.block_count(), bundle.beacons.block_count());
-    std::printf("per-stage latency (cumulative across executions):\n");
-    PrintStage("query.load_bundle");
-    PrintStage("query.build_tables");
-    PrintStage("query.filter");
-    PrintStage("query.group");
-    PrintStage("query.aggregate");
-    PrintStage("query.sort");
+    std::printf("per-stage spans (cumulative across executions):\n");
+    const obs::MetricsSnapshot snap = obs::MetricsRegistry::Global().Snapshot();
+    for (const char* stage : {"query.load_bundle", "query.build_tables", "query.filter",
+                              "query.group", "query.aggregate", "query.sort"}) {
+      PrintStage(snap, stage);
+    }
     return rows;
   });
   std::filesystem::remove_all(dir);

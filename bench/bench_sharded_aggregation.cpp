@@ -11,7 +11,6 @@
 // 8-shard speedup is the acceptance number: it must stay >= 2x over the
 // sequential engine at the default scale (see ISSUE/DESIGN.md §14).
 #include <bit>
-#include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <string>
@@ -25,12 +24,6 @@
 namespace {
 
 using namespace cellspot;
-
-double MsSince(std::chrono::steady_clock::time_point start) {
-  return std::chrono::duration<double, std::milli>(std::chrono::steady_clock::now() -
-                                                   start)
-      .count();
-}
 
 /// Canonical byte encoding of an aggregate list. Doubles go through
 /// bit_cast so "equal" means bit-identical, not approximately close —
@@ -77,33 +70,28 @@ int main(int argc, char** argv) {
     // (Shared() pins its thread count at construction).
     static const analysis::Experiment& exp = analysis::SharedPaperExperiment();
     static exec::Executor& executor = exec::Executor::Shared();
-    auto start = std::chrono::steady_clock::now();
-    const std::vector<core::AsAggregate> sequential =
-        test_support::AggregateCandidateAsesSequential(exp.world.rib(), exp.classified,
-                                                       exp.beacons, exp.demand, executor);
-    const double sequential_ms = MsSince(start);
+    std::vector<core::AsAggregate> sequential;
+    const double sequential_ms = bench::TimedSpan("aggregate.bench.sequential", [&] {
+      sequential = test_support::AggregateCandidateAsesSequential(
+          exp.world.rib(), exp.classified, exp.beacons, exp.demand, executor);
+    });
     const std::string want = Fingerprint(sequential);
 
     double sharded_ms[std::size(kShardCounts)] = {};
     for (std::size_t i = 0; i < std::size(kShardCounts); ++i) {
-      start = std::chrono::steady_clock::now();
-      const std::vector<core::AsAggregate> sharded = core::AggregateCandidateAsesSharded(
-          exp.world.rib(), exp.classified, exp.beacons, exp.demand, executor,
-          core::AggregationConfig{.shards = kShardCounts[i]});
-      sharded_ms[i] = MsSince(start);
+      std::vector<core::AsAggregate> sharded;
+      sharded_ms[i] =
+          bench::TimedSpan("aggregate.bench.shard" + std::to_string(kShardCounts[i]), [&] {
+            sharded = core::AggregateCandidateAsesSharded(
+                exp.world.rib(), exp.classified, exp.beacons, exp.demand, executor,
+                core::AggregationConfig{.shards = kShardCounts[i]});
+          });
       if (Fingerprint(sharded) != want) {
         std::fprintf(stderr,
                      "sharded_aggregation: %zu-shard output diverges from sequential\n",
                      kShardCounts[i]);
         return 0;  // forces the items-consistency check to flag the run
       }
-    }
-
-    auto& reg = obs::MetricsRegistry::Global();
-    reg.latency("aggregate.bench.sequential").Record(sequential_ms);
-    for (std::size_t i = 0; i < std::size(kShardCounts); ++i) {
-      reg.latency("aggregate.bench.shard" + std::to_string(kShardCounts[i]))
-          .Record(sharded_ms[i]);
     }
 
     bench::PrintHeader("sharded_aggregation",

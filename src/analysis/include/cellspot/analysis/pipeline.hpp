@@ -4,7 +4,9 @@
 //
 // Each stage runs its prerequisites on demand, caches its result and
 // traces itself as a "pipeline.<stage>" obs::TraceSpan carrying its
-// item count (the span rows of obs::MetricsRegistry::Global()). Later
+// item count (the span rows of obs::MetricsRegistry::Global()). The span
+// covers the computation only: saving the output to the snapshot cache
+// is its own root "snapshot.save.<artifact>" span. Later
 // stages can be re-run with a different configuration without
 // rebuilding the earlier ones — the threshold/filter ablation benches
 // re-classify one world dozens of times instead of regenerating it per

@@ -59,7 +59,7 @@ void Pipeline::PrimeRibLpm() {
     }
   }
   {
-    // RoutingTable::Flat() also records lpm.build / lpm.segments.
+    // RoutingTable::Flat() nests its lpm.build span under this one.
     obs::TraceSpan span("pipeline.compile_lpm");
     span.set_items(rib.Flat().segment_count());
   }
@@ -77,11 +77,15 @@ void Pipeline::GenerateDatasets() {
       return;
     }
   }
-  obs::TraceSpan span("pipeline.generate_datasets");
-  exp_.beacons = cdn::BeaconGenerator(exp_.world).GenerateDataset(*executor_);
-  exp_.demand = cdn::DemandGenerator(exp_.world).GenerateDataset(*executor_);
-  has_datasets_ = true;
-  span.set_items(exp_.beacons.block_count() + exp_.demand.block_count());
+  {
+    // Scoped so the stage time leaves out the cache save, which is its
+    // own root span (snapshot.save.datasets).
+    obs::TraceSpan span("pipeline.generate_datasets");
+    exp_.beacons = cdn::BeaconGenerator(exp_.world).GenerateDataset(*executor_);
+    exp_.demand = cdn::DemandGenerator(exp_.world).GenerateDataset(*executor_);
+    has_datasets_ = true;
+    span.set_items(exp_.beacons.block_count() + exp_.demand.block_count());
+  }
   if (cache_) cache_->StoreDatasets(config_.world, exp_.beacons, exp_.demand);
 }
 
@@ -100,11 +104,13 @@ const core::ClassifiedSubnets& Pipeline::Classify() {
         return exp_.classified;
       }
     }
-    obs::TraceSpan span("pipeline.classify");
-    const core::SubnetClassifier classifier(config_.classifier);
-    exp_.classified = classifier.Classify(exp_.beacons, *executor_);
-    has_classified_ = true;
-    span.set_items(exp_.classified.ratios().size());
+    {
+      obs::TraceSpan span("pipeline.classify");
+      const core::SubnetClassifier classifier(config_.classifier);
+      exp_.classified = classifier.Classify(exp_.beacons, *executor_);
+      has_classified_ = true;
+      span.set_items(exp_.classified.ratios().size());
+    }
     if (use_cache) cache_->StoreClassified(config_.world, config_.classifier, exp_.classified);
   }
   return exp_.classified;

@@ -1,11 +1,11 @@
 #include "cellspot/asdb/as_database.hpp"
 
 #include <algorithm>
-#include <chrono>
 #include <stdexcept>
 #include <utility>
 
 #include "cellspot/obs/metrics.hpp"
+#include "cellspot/obs/trace.hpp"
 
 namespace cellspot::asdb {
 
@@ -108,15 +108,10 @@ const RoutingTable::FlatRib& RoutingTable::Flat() const {
   }
   std::scoped_lock lock(flat_mu_);
   if (!flat_) {
-    // cellspot-lint: allow(L003) build wall-clock is telemetry; no output depends on it
-    const auto start = std::chrono::steady_clock::now();
+    obs::TraceSpan span("lpm.build");
     flat_ = std::make_shared<const FlatRib>(FlatRib::Build(routes_));
-    // cellspot-lint: allow(L003) build wall-clock is telemetry; no output depends on it
-    const auto elapsed = std::chrono::steady_clock::now() - start;
     auto& reg = obs::MetricsRegistry::Global();
     reg.counter("lpm.build").Increment();
-    reg.latency("lpm.build").Record(
-        std::chrono::duration<double, std::milli>(elapsed).count());
     reg.gauge("lpm.segments").Set(static_cast<double>(flat_->segment_count()));
   }
   flat_ptr_.store(flat_.get(), std::memory_order_release);

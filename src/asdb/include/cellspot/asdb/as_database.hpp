@@ -84,7 +84,8 @@ class RoutingTable {
   [[nodiscard]] std::size_t size() const noexcept { return routes_.size(); }
 
   /// The compiled flat engine, building (and caching) it on first use.
-  /// Logically const: the engine is a cache over the routes.
+  /// Logically const: the engine is a cache over the routes. A build is
+  /// one 'lpm.build' span and counts 'lpm.build' and 'lpm.segments'.
   [[nodiscard]] const FlatRib& Flat() const;
 
   /// Adopt a precompiled engine — the warm-start path, typically a

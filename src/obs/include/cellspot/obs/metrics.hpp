@@ -1,8 +1,8 @@
-// Process-wide observability registry: counters, gauges, latency
-// histograms and span aggregates.
+// Process-wide observability registry: counters, gauges and span
+// aggregates. Spans (obs::TraceSpan) are the only timer.
 //
 // Design contract (see DESIGN.md "Observability"):
-//   * Handles returned by counter()/gauge()/latency() are valid for the
+//   * Handles returned by counter()/gauge() are valid for the
 //     registry's lifetime; registration takes a mutex once, after which
 //     every update is a relaxed atomic — safe and cheap from inside
 //     exec::Executor worker threads with no lock on the hot path.
@@ -16,7 +16,6 @@
 // ("pipeline.classify/exec.batch").
 #pragma once
 
-#include <array>
 #include <atomic>
 #include <cstdint>
 #include <map>
@@ -63,41 +62,6 @@ class Gauge {
   std::atomic<double> value_{0.0};
 };
 
-/// Lock-free latency histogram: power-of-two microsecond buckets
-/// (bucket i holds samples in [2^(i-1), 2^i) µs; bucket 0 is < 1µs).
-/// Quantiles are bucket-interpolated estimates, which is all a perf
-/// trajectory needs — exact per-rep stats come from the bench harness.
-class LatencyHistogram {
- public:
-  static constexpr std::size_t kBuckets = 40;  // 2^39 µs ≈ 6.4 days
-
-  void Record(double ms) noexcept;
-
-  [[nodiscard]] std::uint64_t count() const noexcept {
-    return count_.load(std::memory_order_relaxed);
-  }
-  [[nodiscard]] double total_ms() const noexcept {
-    return static_cast<double>(sum_us_.load(std::memory_order_relaxed)) / 1000.0;
-  }
-  /// 0 when no samples were recorded.
-  [[nodiscard]] double min_ms() const noexcept;
-  [[nodiscard]] double max_ms() const noexcept;
-  /// Bucket-interpolated quantile estimate in ms, q in [0, 1], clamped
-  /// to [min_ms(), max_ms()]; 0 when empty.
-  [[nodiscard]] double ApproxQuantileMs(double q) const noexcept;
-  [[nodiscard]] std::uint64_t bucket(std::size_t i) const noexcept {
-    return i < kBuckets ? buckets_[i].load(std::memory_order_relaxed) : 0;
-  }
-  void Reset() noexcept;
-
- private:
-  std::array<std::atomic<std::uint64_t>, kBuckets> buckets_{};
-  std::atomic<std::uint64_t> count_{0};
-  std::atomic<std::uint64_t> sum_us_{0};
-  std::atomic<std::uint64_t> min_us_{UINT64_MAX};
-  std::atomic<std::uint64_t> max_us_{0};
-};
-
 /// Point-in-time view of a registry, exported to JSON and parsed back by
 /// tests and tools/bench_json. Rows are sorted by name/path.
 struct MetricsSnapshot {
@@ -110,17 +74,6 @@ struct MetricsSnapshot {
     std::string name;
     double value = 0.0;
     friend bool operator==(const GaugeRow&, const GaugeRow&) = default;
-  };
-  struct LatencyRow {
-    std::string name;
-    std::uint64_t count = 0;
-    double total_ms = 0.0;
-    double min_ms = 0.0;
-    double max_ms = 0.0;
-    double p50_ms = 0.0;
-    double p90_ms = 0.0;
-    double p99_ms = 0.0;
-    friend bool operator==(const LatencyRow&, const LatencyRow&) = default;
   };
   struct SpanRow {
     std::string path;     // "parent/child" nesting, '.'-scoped leaf names
@@ -135,14 +88,13 @@ struct MetricsSnapshot {
 
   std::vector<CounterRow> counters;
   std::vector<GaugeRow> gauges;
-  std::vector<LatencyRow> latencies;
   std::vector<SpanRow> spans;
 
   friend bool operator==(const MetricsSnapshot&, const MetricsSnapshot&) = default;
 };
 
 /// Schema tag embedded in every metrics snapshot export.
-inline constexpr std::string_view kMetricsSchema = "cellspot-metrics/1";
+inline constexpr std::string_view kMetricsSchema = "cellspot-metrics/2";
 
 class JsonValue;
 
@@ -156,8 +108,9 @@ class JsonValue;
 [[nodiscard]] MetricsSnapshot MetricsSnapshotFromJsonValue(const JsonValue& doc);
 
 /// Inverse of MetricsSnapshotJson; throws std::invalid_argument on a
-/// malformed document or schema mismatch. Latency quantiles round-trip
-/// as stored (they are estimates, not re-derived).
+/// malformed document or an unknown schema. Also reads
+/// "cellspot-metrics/1" documents (committed bench trajectories embed
+/// them) and ignores their `latencies` array.
 [[nodiscard]] MetricsSnapshot MetricsSnapshotFromJson(std::string_view json);
 
 class MetricsRegistry {
@@ -170,7 +123,6 @@ class MetricsRegistry {
   /// lifetime (values live behind node-stable storage).
   [[nodiscard]] Counter& counter(std::string_view name);
   [[nodiscard]] Gauge& gauge(std::string_view name);
-  [[nodiscard]] LatencyHistogram& latency(std::string_view name);
 
   /// Fold one finished span occurrence into the per-path aggregate.
   /// Called by TraceSpan's destructor.
@@ -181,7 +133,7 @@ class MetricsRegistry {
   [[nodiscard]] std::string SnapshotJson() const { return MetricsSnapshotJson(Snapshot()); }
 
   /// Zero every value and drop span aggregates; previously returned
-  /// counter/gauge/latency handles remain valid.
+  /// counter/gauge handles remain valid.
   void ResetForTest();
 
   /// Lazily constructed process-wide registry (never destroyed, like
@@ -202,7 +154,6 @@ class MetricsRegistry {
   mutable util::OrderedMutex mu_{"obs.MetricsRegistry"};  // registration, span folds, snapshots
   std::map<std::string, std::unique_ptr<Counter>, std::less<>> counters_;
   std::map<std::string, std::unique_ptr<Gauge>, std::less<>> gauges_;
-  std::map<std::string, std::unique_ptr<LatencyHistogram>, std::less<>> latencies_;
   std::map<std::string, SpanAgg, std::less<>> spans_;
 };
 

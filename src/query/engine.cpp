@@ -6,7 +6,6 @@
 #include <utility>
 
 #include "cellspot/exec/executor.hpp"
-#include "cellspot/obs/metrics.hpp"
 #include "cellspot/obs/trace.hpp"
 #include "cellspot/util/stable_map.hpp"
 #include "cellspot/util/stats.hpp"
@@ -17,10 +16,6 @@ namespace {
 // Chunk grain for filter/group scans. Purely a scheduling knob: output
 // is chunk-order merged, so the value affects speed, never bytes.
 constexpr std::size_t kGrain = 4096;
-
-void RecordStage(const char* stage, obs::TraceSpan& span) {
-  obs::MetricsRegistry::Global().latency(stage).Record(span.elapsed_ms());
-}
 
 // ---- filter ---------------------------------------------------------------
 
@@ -314,7 +309,6 @@ Table RunGrouped(const Table& table, const Plan& plan,
       merged.groups.push_back(std::move(acc));
     }
     span.set_items(merged.groups.size());
-    RecordStage("query.group", span);
   }
 
   obs::TraceSpan span("query.aggregate");
@@ -384,7 +378,6 @@ Table RunGrouped(const Table& table, const Plan& plan,
 
   Table out = builder.Finish();
   span.set_items(out.row_count());
-  RecordStage("query.aggregate", span);
   return out;
 }
 
@@ -498,7 +491,6 @@ Table RunOrderLimit(Table table, const Plan& plan, exec::Executor& executor) {
   std::iota(all.begin(), all.end(), std::size_t{0});
   Table out = GatherRows(table, perm, all, executor);
   span.set_items(out.row_count());
-  RecordStage("query.sort", span);
   return out;
 }
 
@@ -515,7 +507,6 @@ Table Engine::Run(const Plan& plan) const {
     obs::TraceSpan span("query.filter");
     selection = RunFilters(*table_, plan.filters, *executor_);
     span.set_items(selection.size());
-    RecordStage("query.filter", span);
   }
 
   const bool aggregated = !plan.group_by.empty() || !plan.aggregates.empty();

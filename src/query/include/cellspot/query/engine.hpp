@@ -5,9 +5,8 @@
 // aggregates are *collected then folded sequentially in row order* —
 // never tree-reduced — so a plan's output is byte-identical at any
 // thread count, and identical to the sequential analysis::reports
-// loops the presets mirror. Stage latencies (filter/group/aggregate/
-// sort) are recorded into obs::MetricsRegistry::Global() under
-// "query.<stage>".
+// loops the presets mirror. Each stage (filter/group/aggregate/sort)
+// is one "query.<stage>" obs::TraceSpan.
 #pragma once
 
 #include "cellspot/query/plan.hpp"

@@ -22,7 +22,8 @@ class Executor;
 namespace cellspot::query {
 
 /// Knobs applied when the classified artifact must be recomputed (no
-/// classified snapshot given) and for the AS join columns.
+/// classified snapshot given), to pick a directory's classified entry,
+/// and for the AS join columns.
 struct BundleOptions {
   core::ClassifierConfig classifier = {};
   core::AsFilterConfig filters = {};
@@ -54,11 +55,15 @@ struct SnapshotBundle {
                                                  exec::Executor& executor);
 
 /// Load from a stage-cache/snapshot directory: expects exactly one
-/// world.*.snap and one datasets.*.snap (classified.*.snap optional).
-/// Ambiguity or absence is QueryError{kBadSource}. Once the world is
-/// decoded, its RIB adopts the directory's compiled engine
-/// (snapshot::StageCache::TryLoadLpm); a missing, foreign or damaged
-/// lpm entry is a cache miss and the engine compiles on first use.
+/// world.*.snap and one datasets.*.snap. Ambiguity or absence is
+/// QueryError{kBadSource}. Once the world is decoded, its RIB adopts the
+/// directory's compiled engine (snapshot::StageCache::TryLoadLpm); a
+/// missing, foreign or damaged lpm entry is a cache miss and the engine
+/// compiles on first use. The classification is the entry at
+/// StageCache::ClassifiedPath(world config, options.classifier), so it
+/// always follows `options.classifier`: classified entries under other
+/// keys are ignored, an absent entry is recomputed from the beacons,
+/// and a damaged one is a SnapshotError (never quarantined).
 [[nodiscard]] SnapshotBundle LoadBundleFromDir(const std::filesystem::path& dir,
                                                const BundleOptions& options,
                                                exec::Executor& executor);
@@ -102,8 +107,8 @@ class TableSet {
 /// row index in parallel (AS origins resolved in chunk batches), so rows
 /// land in artifact iteration order regardless of thread count. `block`
 /// is a prefix column, `family` a {v4, v6} dictionary, and `country`/
-/// `continent` dictionaries built once from the AS records. Records
-/// latency under "query.build_tables".
+/// `continent` dictionaries built once from the AS records. One
+/// "query.build_tables" span (items = rows).
 [[nodiscard]] TableSet BuildTables(const ArtifactRefs& refs, exec::Executor& executor);
 [[nodiscard]] TableSet BuildTables(const SnapshotBundle& bundle, exec::Executor& executor);
 

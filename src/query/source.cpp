@@ -5,6 +5,7 @@
 #include <functional>
 #include <string>
 #include <string_view>
+#include <system_error>
 #include <utility>
 #include <vector>
 
@@ -25,10 +26,6 @@ namespace cellspot::query {
 namespace {
 
 constexpr std::size_t kGrain = 2048;
-
-void RecordStage(const char* stage, obs::TraceSpan& span) {
-  obs::MetricsRegistry::Global().latency(stage).Record(span.elapsed_ms());
-}
 
 /// Join candidates/filter outcome onto a freshly decoded bundle.
 void FinishBundle(SnapshotBundle& bundle, const BundleOptions& options,
@@ -287,22 +284,29 @@ Table BuildClassifiedTable(const JoinContext& ctx, exec::Executor& executor) {
   return Table(std::move(columns));
 }
 
-/// LoadBundleFromFiles, plus, for a non-empty `lpm_dir`, the stage
-/// cache's compiled engine for the decoded world adopted by its RIB.
+/// LoadBundleFromFiles, plus, for a non-empty `cache_dir`, the stage
+/// cache's entries for the decoded world: its compiled engine, adopted
+/// by the RIB, and the classified entry for `options.classifier`, which
+/// stands in for `classified_path`.
 SnapshotBundle LoadFiles(const fs::path& world_path, const fs::path& datasets_path,
-                         const fs::path& classified_path, const fs::path& lpm_dir,
+                         fs::path classified_path, const fs::path& cache_dir,
                          const BundleOptions& options, exec::Executor& executor) {
   obs::TraceSpan span("query.load_bundle");
   SnapshotBundle bundle;
   bundle.world = LoadArtifact("world", world_path, snapshot::DecodeWorld);
-  if (!lpm_dir.empty()) {
-    // A missing, foreign or damaged entry is the cache's usual miss
+  if (!cache_dir.empty()) {
+    // A missing, foreign or damaged lpm entry is the cache's usual miss
     // (counted; a damaged file is quarantined), and the RIB compiles on
     // first use instead.
-    snapshot::StageCache cache(lpm_dir);
+    snapshot::StageCache cache(cache_dir);
     if (auto flat = cache.TryLoadLpm(bundle.world.config())) {
       (void)bundle.world.rib().AdoptFlat(std::move(*flat));
     }
+    // The classified entry is only probed, not TryLoad'ed: an absent one
+    // is classified below, a damaged one stays a SnapshotError.
+    classified_path = cache.ClassifiedPath(bundle.world.config(), options.classifier);
+    std::error_code ec;
+    if (!fs::exists(classified_path, ec)) classified_path.clear();
   }
   auto datasets = LoadArtifact("datasets", datasets_path, snapshot::DecodeDatasets);
   bundle.beacons = std::move(datasets.first);
@@ -317,7 +321,6 @@ SnapshotBundle LoadFiles(const fs::path& world_path, const fs::path& datasets_pa
                                      });
   }
   FinishBundle(bundle, options, executor);
-  RecordStage("query.load_bundle", span);
   return bundle;
 }
 
@@ -360,16 +363,15 @@ SnapshotBundle LoadBundleFromDir(const fs::path& dir, const BundleOptions& optio
 
   const std::string world = pick("world.");
   const std::string datasets = pick("datasets.");
-  const std::string classified = pick("classified.");
   if (world.empty() || datasets.empty()) {
     BadSource("snapshot directory '" + dir.string() +
               "' needs one world.*.snap and one datasets.*.snap");
   }
-  // The files are found by pattern rather than by the stage cache's
-  // keys: a directory holds whatever config wrote it, and the query
-  // learns that config only from the world it decodes.
-  return LoadFiles(dir / world, dir / datasets,
-                   classified.empty() ? fs::path{} : dir / classified, dir, options, executor);
+  // The world and datasets are found by pattern rather than by the
+  // stage cache's keys: a directory holds whatever config wrote it, and
+  // the query learns that config only from the world it decodes. The
+  // lpm and classified entries are then looked up under its keys.
+  return LoadFiles(dir / world, dir / datasets, {}, dir, options, executor);
 }
 
 SnapshotBundle LoadBundleFromCheckpoint(const fs::path& world_path,
@@ -393,7 +395,6 @@ SnapshotBundle LoadBundleFromCheckpoint(const fs::path& world_path,
     bundle.classified = daemon.ExportClassified();
   }
   FinishBundle(bundle, options, executor);
-  RecordStage("query.load_bundle", span);
   return bundle;
 }
 
@@ -432,7 +433,6 @@ TableSet BuildTables(const ArtifactRefs& refs, exec::Executor& executor) {
   tables.classified = BuildClassifiedTable(ctx, executor);
   span.set_items(tables.beacon.row_count() + tables.demand.row_count() +
                  tables.classified.row_count());
-  RecordStage("query.build_tables", span);
   return tables;
 }
 

@@ -9,6 +9,7 @@
 #include "cellspot/obs/metrics.hpp"
 #include "cellspot/snapshot/binary_io.hpp"
 #include "cellspot/snapshot/snapshot.hpp"
+#include "cellspot/util/retry.hpp"
 
 namespace cellspot::stream {
 
@@ -50,9 +51,8 @@ std::vector<std::filesystem::path> ListCheckpoints(const std::filesystem::path& 
 
 }  // namespace
 
-CheckpointStore::CheckpointStore(std::filesystem::path dir, std::uint64_t config_hash,
-                                 util::RetryPolicy retry)
-    : dir_(std::move(dir)), config_hash_(config_hash), retry_(retry) {
+CheckpointStore::CheckpointStore(std::filesystem::path dir, std::uint64_t config_hash)
+    : dir_(std::move(dir)), config_hash_(config_hash) {
   std::error_code ec;
   std::filesystem::create_directories(dir_, ec);
   if (ec) {
@@ -79,7 +79,7 @@ bool CheckpointStore::Save(std::uint64_t tick, const std::string& payload) {
 
   const std::filesystem::path path = PathForTick(tick);
   std::string last_error;
-  const util::RetryOutcome outcome = util::RetryCall(retry_, [&] {
+  const util::RetryOutcome outcome = util::RetryCall(util::RetryPolicy{.max_attempts = 3}, [&] {
     try {
       snapshot::WriteSnapshotFile(path, sections);
       return true;

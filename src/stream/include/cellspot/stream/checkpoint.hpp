@@ -17,8 +17,6 @@
 #include <optional>
 #include <string>
 
-#include "cellspot/util/retry.hpp"
-
 namespace cellspot::stream {
 
 class CheckpointStore {
@@ -28,13 +26,12 @@ class CheckpointStore {
 
   /// `config_hash` keys compatibility: LoadLatest only restores
   /// checkpoints written with the same hash.
-  CheckpointStore(std::filesystem::path dir, std::uint64_t config_hash,
-                  util::RetryPolicy retry = {});
+  CheckpointStore(std::filesystem::path dir, std::uint64_t config_hash);
 
   /// Persist `payload` as the checkpoint for logical tick `tick`.
-  /// Transient IO failures are retried per the policy; persistent
-  /// failure is counted (stream.checkpoint.save_error) and reported on
-  /// stderr, never thrown. Returns true on success.
+  /// A failed write is retried at once, up to three attempts in all;
+  /// persistent failure is counted (stream.checkpoint.save_error) and
+  /// reported on stderr, never thrown. Returns true on success.
   bool Save(std::uint64_t tick, const std::string& payload);
 
   struct Loaded {
@@ -56,7 +53,6 @@ class CheckpointStore {
  private:
   std::filesystem::path dir_;
   std::uint64_t config_hash_;
-  util::RetryPolicy retry_;
 };
 
 }  // namespace cellspot::stream

@@ -32,6 +32,7 @@
 #include "cellspot/stream/bounded_queue.hpp"
 #include "cellspot/stream/checkpoint.hpp"
 #include "cellspot/stream/event.hpp"
+#include "cellspot/util/retry.hpp"
 
 namespace cellspot::stream {
 

@@ -2,23 +2,20 @@
 //
 // RetryPolicy is clock-free by design: delays are expressed in abstract
 // *ticks* (whatever unit the caller's scheduler advances — the stream
-// daemon's tick loop, a test's loop counter), and the optional jitter is
-// drawn from a caller-seeded Rng, so a (policy, seed) pair reproduces
-// the same delay sequence on every run. Nothing here sleeps or reads a
-// wall clock; callers decide what a tick means.
+// daemon's tick loop, a test's loop counter), so a policy reproduces the
+// same delay sequence on every run. Nothing here sleeps or reads a wall
+// clock; callers decide what a tick means.
 //
 // Two usage shapes:
 //   * Immediate retries (file IO, where waiting in-process buys nothing):
 //     RetryCall(policy, fn) re-invokes fn up to max_attempts times and
 //     reports how many retries it took.
 //   * Scheduled retries (the daemon's checkpoint writer): after a failed
-//     attempt k, DelayTicks(k, rng) says how many ticks to wait before
+//     attempt k, DelayTicks(k) says how many ticks to wait before
 //     attempt k+1; the caller re-tries when its tick counter catches up.
 #pragma once
 
 #include <cstdint>
-
-#include "cellspot/util/rng.hpp"
 
 namespace cellspot::util {
 
@@ -30,28 +27,8 @@ struct RetryPolicy {
   std::uint32_t base_delay_ticks = 1;
   std::uint32_t max_delay_ticks = 64;
 
-  /// Fraction of the delay drawn uniformly at random and *added* to it
-  /// (0.25 = up to +25%), from the caller's seeded Rng. Zero disables
-  /// the draw entirely so the Rng is not advanced.
-  double jitter = 0.0;
-
   /// Ticks to wait after failed attempt `attempt` (0-based) before the
-  /// next one. Exponential in the attempt index, capped, plus seeded
-  /// jitter. Deterministic for a given (policy, rng state).
-  [[nodiscard]] std::uint64_t DelayTicks(std::uint32_t attempt, Rng& rng) const {
-    std::uint64_t delay = max_delay_ticks;
-    if (attempt < 32 && (static_cast<std::uint64_t>(base_delay_ticks) << attempt) <
-                            max_delay_ticks) {
-      delay = static_cast<std::uint64_t>(base_delay_ticks) << attempt;
-    }
-    if (jitter > 0.0 && delay > 0) {
-      delay += static_cast<std::uint64_t>(static_cast<double>(delay) * jitter *
-                                          rng.UniformDouble());
-    }
-    return delay;
-  }
-
-  /// Jitter-free variant for callers without an Rng.
+  /// next one: exponential in the attempt index, capped.
   [[nodiscard]] std::uint64_t DelayTicks(std::uint32_t attempt) const {
     if (attempt < 32 && (static_cast<std::uint64_t>(base_delay_ticks) << attempt) <
                             max_delay_ticks) {

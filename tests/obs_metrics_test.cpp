@@ -1,8 +1,8 @@
 // MetricsRegistry contract tests: handle stability across ResetForTest,
-// find-or-create under concurrent registration, counter/latency updates
+// find-or-create under concurrent registration, counter and span updates
 // from inside executor workers (the TSan variant runs this binary with
-// CELLSPOT_THREADS=8, see tools/ci.sh), and the snapshot JSON round
-// trip.
+// CELLSPOT_THREADS=8, see tools/ci.sh), the snapshot JSON round trip,
+// and reading the previous schema's documents.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -14,6 +14,7 @@
 #include "cellspot/exec/executor.hpp"
 #include "cellspot/obs/json.hpp"
 #include "cellspot/obs/metrics.hpp"
+#include "cellspot/obs/trace.hpp"
 
 namespace cellspot {
 namespace {
@@ -40,42 +41,6 @@ TEST(Gauge, SetAddReset) {
   EXPECT_DOUBLE_EQ(g.value(), 0.0);
 }
 
-TEST(LatencyHistogram, RecordsIntoPowerOfTwoBuckets) {
-  obs::LatencyHistogram h;
-  h.Record(0.0001);  // < 1µs -> bucket 0
-  h.Record(0.003);   // 3µs -> [2, 4) = bucket 2
-  h.Record(1.0);     // 1000µs -> [512, 1024) = bucket 10
-  EXPECT_EQ(h.count(), 3u);
-  EXPECT_EQ(h.bucket(0), 1u);
-  EXPECT_EQ(h.bucket(2), 1u);
-  EXPECT_EQ(h.bucket(10), 1u);
-  EXPECT_GT(h.max_ms(), h.min_ms());
-  // The interpolated median must land inside the recorded range.
-  const double p50 = h.ApproxQuantileMs(0.5);
-  EXPECT_GE(p50, h.min_ms());
-  EXPECT_LE(p50, h.max_ms());
-}
-
-TEST(LatencyHistogram, EmptyQuantilesAreZero) {
-  const obs::LatencyHistogram h;
-  EXPECT_EQ(h.count(), 0u);
-  EXPECT_DOUBLE_EQ(h.ApproxQuantileMs(0.5), 0.0);
-  EXPECT_DOUBLE_EQ(h.min_ms(), 0.0);
-  EXPECT_DOUBLE_EQ(h.max_ms(), 0.0);
-}
-
-TEST(LatencyHistogram, SingleSampleQuantilesEqualTheSample) {
-  // 489.8 ms falls in the [262.144, 524.288) ms bucket; interpolating
-  // inside it alone would put p50 at 393 ms, below the only sample.
-  obs::LatencyHistogram h;
-  h.Record(489.8);
-  EXPECT_DOUBLE_EQ(h.min_ms(), 489.8);
-  EXPECT_DOUBLE_EQ(h.max_ms(), 489.8);
-  for (const double q : {0.0, 0.5, 0.9, 0.99, 1.0}) {
-    EXPECT_DOUBLE_EQ(h.ApproxQuantileMs(q), 489.8) << "q=" << q;
-  }
-}
-
 TEST(MetricsRegistry, FindOrCreateReturnsSameHandle) {
   MetricsRegistry reg;
   obs::Counter& a = reg.counter("test.counter");
@@ -88,10 +53,8 @@ TEST(MetricsRegistry, ResetForTestKeepsHandlesValid) {
   MetricsRegistry reg;
   obs::Counter& c = reg.counter("test.counter");
   obs::Gauge& g = reg.gauge("test.gauge");
-  obs::LatencyHistogram& h = reg.latency("test.latency");
   c.Increment(7);
   g.Set(3.5);
-  h.Record(1.0);
   reg.RecordSpan("test.span", 0, 2.0, 10);
 
   reg.ResetForTest();
@@ -100,7 +63,6 @@ TEST(MetricsRegistry, ResetForTestKeepsHandlesValid) {
   // hot code cache `static Counter&` across test cases.
   EXPECT_EQ(c.value(), 0u);
   EXPECT_DOUBLE_EQ(g.value(), 0.0);
-  EXPECT_EQ(h.count(), 0u);
   c.Increment();
   EXPECT_EQ(reg.counter("test.counter").value(), 1u);
   EXPECT_TRUE(reg.Snapshot().spans.empty());
@@ -144,26 +106,36 @@ TEST(MetricsRegistry, ConcurrentFindOrCreateIsSingleInstance) {
 }
 
 TEST(MetricsRegistry, UpdatesFromExecutorWorkersAreExact) {
-  // Counters updated from inside ParallelFor bodies must account for
-  // every element exactly once, at any thread count (the TSan run forces
-  // CELLSPOT_THREADS=8 so the relaxed-atomic path actually interleaves).
+  // Counters and spans updated from inside ParallelFor bodies must
+  // account for every chunk and element exactly once, at any thread
+  // count (the TSan run forces CELLSPOT_THREADS=8 so the relaxed-atomic
+  // counter path and the span folds actually interleave).
   MetricsRegistry reg;
   obs::Counter& elements = reg.counter("workers.elements");
-  obs::LatencyHistogram& lat = reg.latency("workers.chunk_ms");
   constexpr std::size_t kN = 100000;
   exec::Executor::Shared().ParallelFor(kN, 64, [&](std::size_t begin, std::size_t end) {
+    obs::TraceSpan span("workers.chunk", reg);
+    span.set_items(end - begin);
     elements.Increment(end - begin);
-    lat.Record(0.001 * static_cast<double>(end - begin));
   });
   EXPECT_EQ(elements.value(), kN);
-  EXPECT_EQ(lat.count(), (kN + 63) / 64);
+  // A chunk run on the calling thread nests under its exec.batch span,
+  // one run on a worker is a root: count both.
+  std::uint64_t chunks = 0;
+  std::uint64_t items = 0;
+  for (const MetricsSnapshot::SpanRow& row : reg.Snapshot().spans) {
+    if (row.path != "workers.chunk" && !row.path.ends_with("/workers.chunk")) continue;
+    chunks += row.count;
+    items += row.items;
+  }
+  EXPECT_EQ(chunks, (kN + 63) / 64);
+  EXPECT_EQ(items, kN);
 }
 
 TEST(MetricsSnapshot, JsonRoundTripIsLossless) {
   MetricsRegistry reg;
   reg.counter("rt.counter").Increment(123);
   reg.gauge("rt.gauge").Set(0.25);
-  reg.latency("rt.latency").Record(1.5);
   reg.RecordSpan("rt.outer", 0, 5.0, 100);
   reg.RecordSpan("rt.outer/rt.inner", 1, 2.0, 40);
 
@@ -173,6 +145,38 @@ TEST(MetricsSnapshot, JsonRoundTripIsLossless) {
   EXPECT_EQ(parsed, snap);
   // And the serialized form is stable under a second round trip.
   EXPECT_EQ(obs::MetricsSnapshotJson(parsed), json);
+}
+
+TEST(MetricsSnapshot, FreshSnapshotIsV2WithoutLatencies) {
+  MetricsRegistry reg;
+  reg.counter("v2.counter").Increment();
+  reg.RecordSpan("v2.span", 0, 1.0, 1);
+  const obs::JsonValue doc = obs::MetricsSnapshotToJson(reg.Snapshot());
+  EXPECT_EQ(doc.Find("schema")->as_string(), "cellspot-metrics/2");
+  EXPECT_EQ(doc.Find("latencies"), nullptr);
+  EXPECT_NE(doc.Find("spans"), nullptr);
+}
+
+TEST(MetricsSnapshot, ReadsV1DocumentsAndIgnoresTheirLatencies) {
+  // The rows every version shares, and the histogram rows only "/1"
+  // wrote (the committed bench trajectories embed such documents).
+  const std::string rows =
+      R"("counters":{"rt.counter":123},"gauges":{"rt.gauge":0.25},)"
+      R"("spans":[{"path":"rt.outer","depth":0,"count":2,"total_ms":5,)"
+      R"("min_ms":2,"max_ms":3,"items":100}])";
+  const std::string latencies =
+      R"("latencies":[{"name":"rt.latency","count":1,"total_ms":1.5,"min_ms":1.5,)"
+      R"("max_ms":1.5,"p50_ms":1.5,"p90_ms":1.5,"p99_ms":1.5}],)";
+  const MetricsSnapshot with =
+      obs::MetricsSnapshotFromJson(R"({"schema":"cellspot-metrics/1",)" + latencies + rows + "}");
+  const MetricsSnapshot without =
+      obs::MetricsSnapshotFromJson(R"({"schema":"cellspot-metrics/1",)" + rows + "}");
+  EXPECT_EQ(with, without);
+  EXPECT_EQ(with, obs::MetricsSnapshotFromJson(R"({"schema":"cellspot-metrics/2",)" + rows + "}"));
+  ASSERT_EQ(with.spans.size(), 1u);
+  EXPECT_EQ(with.spans[0].count, 2u);
+  ASSERT_EQ(with.counters.size(), 1u);
+  EXPECT_EQ(with.counters[0].value, 123u);
 }
 
 TEST(MetricsSnapshot, FromJsonRejectsWrongSchema) {

@@ -1,10 +1,13 @@
 // TraceSpan contract tests: per-thread nesting produces '/'-joined
 // aggregate paths, worker threads do not inherit the caller's stack, and
 // running the analysis pipeline emits one span aggregate per stage (plus
-// nested exec.batch spans) into the global registry.
+// nested exec.batch spans) into the global registry, with the cache
+// saves outside the stage spans and one lpm.build span per compile.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
+#include <filesystem>
 #include <string>
 #include <thread>
 #include <utility>
@@ -132,6 +135,67 @@ TEST(PipelineTracing, EveryStageEmitsASpanAggregate) {
         return row.depth == 1 && row.path.ends_with("/exec.batch");
       });
   EXPECT_TRUE(has_nested_batch);
+  reg.ResetForTest();
+}
+
+/// Occurrences of every span whose leaf is `leaf`, wherever it nests.
+std::uint64_t LeafCount(const MetricsSnapshot& snap, std::string_view leaf) {
+  std::uint64_t count = 0;
+  for (const auto& row : snap.spans) {
+    if (row.path == leaf || row.path.ends_with("/" + std::string(leaf))) count += row.count;
+  }
+  return count;
+}
+
+std::filesystem::path FreshDir(const std::string& name) {
+  const std::filesystem::path dir = std::filesystem::path(::testing::TempDir()) / name;
+  std::filesystem::remove_all(dir);
+  return dir;
+}
+
+TEST(PipelineTracing, CacheSavesAreRootSpansOutsideTheStages) {
+  MetricsRegistry& reg = MetricsRegistry::Global();
+  reg.ResetForTest();
+  analysis::Pipeline pipeline({.world = simnet::WorldConfig::Tiny(),
+                               .snapshot_dir = FreshDir("trace_cache_saves").string()});
+  (void)pipeline.Run();
+
+  const MetricsSnapshot snap = reg.Snapshot();
+  for (const char* save : {"snapshot.save.world", "snapshot.save.lpm",
+                           "snapshot.save.datasets", "snapshot.save.classified"}) {
+    const auto* row = FindSpan(snap, save);
+    ASSERT_NE(row, nullptr) << save;
+    EXPECT_EQ(row->depth, 0) << save;
+    EXPECT_EQ(row->count, 1u) << save;
+    EXPECT_EQ(LeafCount(snap, save), 1u) << save;
+  }
+  reg.ResetForTest();
+}
+
+TEST(PipelineTracing, OneLpmBuildSpanPerCompile) {
+  MetricsRegistry& reg = MetricsRegistry::Global();
+  const std::string dir = FreshDir("trace_lpm_build").string();
+
+  // Cold: the RIB compiles once, inside its stage.
+  reg.ResetForTest();
+  analysis::Pipeline cold({.world = simnet::WorldConfig::Tiny(), .snapshot_dir = dir});
+  (void)cold.Run();
+  MetricsSnapshot snap = reg.Snapshot();
+  const auto* build = FindSpan(snap, "pipeline.compile_lpm/lpm.build");
+  ASSERT_NE(build, nullptr);
+  EXPECT_EQ(build->count, 1u);
+  EXPECT_EQ(build->depth, 1);
+  EXPECT_EQ(LeafCount(snap, "lpm.build"), 1u);
+
+  // Warm: the cached engine is adopted and nothing compiles.
+  reg.ResetForTest();
+  analysis::Pipeline warm({.world = simnet::WorldConfig::Tiny(), .snapshot_dir = dir});
+  (void)warm.Run();
+  snap = reg.Snapshot();
+  EXPECT_EQ(LeafCount(snap, "lpm.build"), 0u);
+  EXPECT_EQ(FindSpan(snap, "pipeline.compile_lpm"), nullptr);
+  EXPECT_EQ(reg.counter("lpm.adopt").value(), 1u);
+  EXPECT_EQ(reg.counter("lpm.build").value(), 0u);
   reg.ResetForTest();
 }
 

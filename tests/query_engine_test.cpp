@@ -5,7 +5,8 @@
 // QueryError, never a crash; a stream checkpoint is a first-class query
 // source whose exports equal the batch artifacts; and a stage-cache
 // directory serves its compiled LPM engine (a damaged one is a cache
-// miss), with one span per step of the open.
+// miss) and the classified entry its classifier options key, with one
+// span per step of the open.
 #include "cellspot/query/presets.hpp"
 
 #include <gtest/gtest.h>
@@ -24,6 +25,7 @@
 #include "cellspot/analysis/pipeline.hpp"
 #include "cellspot/analysis/reports.hpp"
 #include "cellspot/cdn/event_stream.hpp"
+#include "cellspot/core/classifier.hpp"
 #include "cellspot/exec/executor.hpp"
 #include "cellspot/faultsim/stream_corruptor.hpp"
 #include "cellspot/obs/metrics.hpp"
@@ -328,7 +330,6 @@ TEST(QuerySource, OneOpenRecordsOneSpanPerStep) {
 
   for (const char* step : {"query.load_bundle", "query.build_tables"}) {
     EXPECT_EQ(LeafSpan(step).first, 1u) << step;
-    EXPECT_EQ(obs::MetricsRegistry::Global().latency(step).count(), 1u) << step;
   }
   EXPECT_EQ(LeafSpan("query.build_tables").second,
             tables.beacon.row_count() + tables.demand.row_count() +
@@ -396,6 +397,56 @@ TEST(QuerySource, DamagedLpmEntryFallsBackToCompiling) {
   EXPECT_TRUE(fs::exists(lpm.string() + ".corrupt"));
 }
 
+std::string EncodedClassified(const core::ClassifiedSubnets& classified) {
+  return snapshot::EncodeSnapshot(snapshot::EncodeClassified(classified));
+}
+
+TEST(QuerySource, DirectoryClassificationFollowsTheClassifierOptions) {
+  // The pipeline fills the directory at the default classifier. An open
+  // at another threshold must not serve those verdicts: it classifies
+  // the beacons itself, until an entry under its own key exists.
+  const fs::path dir = WritePipelineDir("query_source_classifier_key");
+  const simnet::WorldConfig config = simnet::WorldConfig::Tiny();
+  const BundleOptions strict{.classifier = {.threshold = 0.9}};
+  exec::Executor executor(2);
+  const std::string at_default = EncodedClassified(TinyExp().classified);
+  const std::string at_strict = EncodedClassified(
+      core::SubnetClassifier(strict.classifier).Classify(TinyExp().beacons, executor));
+  ASSERT_NE(at_strict, at_default);
+
+  obs::MetricsRegistry::Global().ResetForTest();
+  EXPECT_EQ(EncodedClassified(LoadBundleFromDir(dir, strict, executor).classified), at_strict);
+  EXPECT_EQ(LeafSpan("snapshot.load.classified").first, 0u);
+  EXPECT_EQ(EncodedClassified(LoadBundleFromDir(dir, BundleOptions{}, executor).classified),
+            at_default);
+  EXPECT_EQ(LeafSpan("snapshot.load.classified").first, 1u);
+
+  // A second classified entry, under the strict key, is loaded for the
+  // strict open and does not make the directory ambiguous.
+  analysis::Pipeline pipeline({.world = config, .classifier = strict.classifier,
+                               .snapshot_dir = dir.string()});
+  (void)pipeline.Run();
+  const fs::path strict_entry = snapshot::StageCache(dir).ClassifiedPath(config, strict.classifier);
+  ASSERT_TRUE(fs::exists(strict_entry));
+  obs::MetricsRegistry::Global().ResetForTest();
+  EXPECT_EQ(EncodedClassified(LoadBundleFromDir(dir, strict, executor).classified), at_strict);
+  EXPECT_EQ(LeafSpan("snapshot.load.classified").first, 1u);
+
+  // A damaged entry under the open's key is a SnapshotError, and the
+  // file stays where it is.
+  std::string bytes = ReadBytes(strict_entry);
+  bytes[bytes.size() / 2] = static_cast<char>(bytes[bytes.size() / 2] ^ 0x5A);
+  WriteBytes(strict_entry, bytes);
+  try {
+    (void)LoadBundleFromDir(dir, strict, executor);
+    FAIL() << "expected SnapshotError";
+  } catch (const snapshot::SnapshotError& e) {
+    EXPECT_EQ(e.reason(), snapshot::SnapshotErrorReason::kChecksum);
+  }
+  EXPECT_TRUE(fs::exists(strict_entry));
+  EXPECT_FALSE(fs::exists(strict_entry.string() + ".corrupt"));
+}
+
 // ---- files keyed without the RNG stream version ----------------------------
 
 /// The world key before util::kRngStreamVersion joined it: FNV-1a-64
@@ -414,7 +465,8 @@ std::string Hex16(std::uint64_t v) {
 TEST(QuerySource, DirectoryKeyedWithoutTheRngStreamOpensAndCompilesItsRib) {
   // Every entry renamed to the names the key without the RNG stream
   // gives Tiny(). The directory is still found by pattern, but its lpm
-  // entry is not under the decoded world's key, so the RIB compiles.
+  // and classified entries are not under the decoded world's keys, so
+  // the RIB compiles and the beacons are classified again.
   const fs::path dir = WritePipelineDir("query_source_old_keys");
   exec::Executor executor(2);
   const std::string reference =
@@ -437,6 +489,7 @@ TEST(QuerySource, DirectoryKeyedWithoutTheRngStreamOpensAndCompilesItsRib) {
   EXPECT_EQ(CounterValue("lpm.adopt"), 0u);
   EXPECT_EQ(CounterValue("lpm.build"), 1u);
   EXPECT_EQ(CounterValue("snapshot.miss.absent"), 1u);
+  EXPECT_EQ(LeafSpan("snapshot.load.classified").first, 0u);
 }
 
 TEST(QuerySource, CheckpointUnderAHashWithoutTheRngStreamIsABadSource) {

@@ -2,8 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include <vector>
-
 namespace cellspot::util {
 namespace {
 
@@ -16,37 +14,6 @@ TEST(RetryPolicy, DelayGrowsExponentiallyThenCaps) {
   EXPECT_EQ(policy.DelayTicks(3), 16u);   // 2<<3 = 16 hits the cap
   EXPECT_EQ(policy.DelayTicks(4), 16u);   // capped
   EXPECT_EQ(policy.DelayTicks(63), 16u);  // shift overflow guarded
-}
-
-TEST(RetryPolicy, JitterIsSeededAndBounded) {
-  const RetryPolicy policy{.base_delay_ticks = 8, .max_delay_ticks = 64,
-                           .jitter = 0.5};
-  Rng a(123), b(123), c(999);
-  std::vector<std::uint64_t> da, db;
-  for (std::uint32_t k = 0; k < 8; ++k) {
-    da.push_back(policy.DelayTicks(k, a));
-    db.push_back(policy.DelayTicks(k, b));
-  }
-  EXPECT_EQ(da, db);  // same seed, same delays
-  for (std::uint32_t k = 0; k < 8; ++k) {
-    const std::uint64_t base = policy.DelayTicks(k);
-    EXPECT_GE(da[k], base);
-    EXPECT_LE(da[k], base + base / 2);  // +50% jitter at most
-  }
-  // A different seed diverges somewhere (overwhelmingly likely).
-  bool diverged = false;
-  Rng a2(123);
-  for (std::uint32_t k = 0; k < 8; ++k) {
-    if (policy.DelayTicks(k, a2) != policy.DelayTicks(k, c)) diverged = true;
-  }
-  EXPECT_TRUE(diverged);
-}
-
-TEST(RetryPolicy, ZeroJitterDoesNotAdvanceRng) {
-  const RetryPolicy policy{.jitter = 0.0};
-  Rng rng(42), untouched(42);
-  (void)policy.DelayTicks(3, rng);
-  EXPECT_EQ(rng.UniformDouble(), untouched.UniformDouble());
 }
 
 TEST(RetryCall, FirstAttemptSucceeds) {

@@ -99,7 +99,7 @@ int PrintUsage() {
       "                                     (default: CELLSPOT_THREADS, else\n"
       "                                     hardware concurrency); results are\n"
       "                                     identical at any thread count\n"
-      "  --metrics-out F                    write a cellspot-metrics/1 JSON\n"
+      "  --metrics-out F                    write a cellspot-metrics/2 JSON\n"
       "                                     snapshot at exit (also honours\n"
       "                                     CELLSPOT_METRICS)\n"
       "  --snapshot-dir DIR                 cache generate/figures stage output\n"

@@ -35,7 +35,7 @@ int main(int argc, char** argv) {
                              opts.GetOr("threads", "") + "'");
     }
     exec::Executor::SetDefaultThreadCount(static_cast<unsigned>(threads));
-    // Global: dump a cellspot-metrics/1 snapshot at process exit when
+    // Global: dump a cellspot-metrics/2 snapshot at process exit when
     // --metrics-out FILE (or $CELLSPOT_METRICS) names a destination.
     obs::InstallMetricsExporterAtExit(opts.GetOr("metrics-out", ""));
     return command->run(opts);
