@@ -1,14 +1,19 @@
-// Candidate-AS aggregation (§5, DESIGN.md §14): partition the
-// beacon/demand items by a deterministic hash of their origin AS, let
-// every shard fold its items into per-AS aggregates independently on
-// the executor, then merge the per-shard candidate lists in canonical
-// ASN order. Because each AS's items land wholly in one shard and keep
-// their dataset iteration order there, every per-AS floating-point fold
-// runs in exactly the sequence a single sequential pass uses — the
-// output is byte-identical at any shard × thread combination.
+// Candidate-AS aggregation (§5, DESIGN.md §14): one fold over plain
+// per-block items. Two builders produce the items — the dataset join
+// (AggregateCandidateAsesSharded) and the stream daemon's slot walk
+// (stream::StreamDaemon::ExportCandidates). The fold partitions the
+// items by a deterministic hash of their origin AS, lets every shard
+// fold its items into per-AS aggregates independently on the executor,
+// then merges the per-shard candidate lists in canonical ASN order.
+// Because each AS's items land wholly in one shard and keep their item
+// order there, every per-AS floating-point fold runs in exactly the
+// sequence a single sequential pass uses — the output is byte-identical
+// at any shard × thread combination.
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
+#include <span>
 #include <vector>
 
 #include "cellspot/core/as_pipeline.hpp"
@@ -31,11 +36,41 @@ struct AggregationConfig {
 /// machine, which is what lets per-shard snapshot sections round-trip.
 [[nodiscard]] std::size_t ShardOfAs(asdb::AsNumber asn, std::size_t shard_count) noexcept;
 
-/// Joins classification, beacons and demand by origin AS (via the RIB).
-/// Only ASes with at least one classified-cellular block are returned,
-/// sorted by ASN — the §5 "straw-man" candidate set (1,263 ASes in the
-/// paper). Emits one "aggregate.shard" trace span per shard and sets
-/// the "aggregate.shards" gauge.
+/// One BEACON block as the fold sees it: the block's classification,
+/// and its DEMAND when it is cellular, already joined.
+struct BeaconItem {
+  const netaddr::Prefix* block = nullptr;  // outlives the fold
+  std::uint64_t hits = 0;
+  double cell_demand_du = 0.0;  // the block's DEMAND when cellular, else 0
+  asdb::AsNumber origin = 0;    // 0 (reserved): unrouted
+  bool observed = false;        // classified (enough API-enabled hits)
+  bool cellular = false;
+};
+
+/// One DEMAND block as the fold sees it.
+struct DemandItem {
+  double du = 0.0;
+  asdb::AsNumber origin = 0;  // 0 (reserved): unrouted
+};
+
+/// Origin AS of every address, in order, looked up in parallel
+/// OriginOfBatch batches; 0 (reserved) marks unrouted.
+[[nodiscard]] std::vector<asdb::AsNumber> ResolveOrigins(
+    const asdb::RoutingTable& rib, std::span<const netaddr::IpAddress> addrs,
+    exec::Executor& executor);
+
+/// The fold: every routed item into its origin AS's aggregate. Only
+/// ASes with at least one cellular block are returned, sorted by ASN,
+/// each with its cellular blocks sorted. Per-AS sums run in item order.
+/// Emits one "aggregate.shard" trace span per shard, whose items are
+/// the routed items it folded, and sets the "aggregate.shards" gauge.
+[[nodiscard]] std::vector<AsAggregate> AggregateCandidateItems(
+    std::span<const BeaconItem> beacons, std::span<const DemandItem> demand,
+    exec::Executor& executor, const AggregationConfig& config = {});
+
+/// Joins classification, beacons and demand by origin AS (via the RIB)
+/// into items in dataset iteration order, then folds them — the §5
+/// "straw-man" candidate set (1,263 ASes in the paper).
 [[nodiscard]] std::vector<AsAggregate> AggregateCandidateAsesSharded(
     const asdb::RoutingTable& rib, const ClassifiedSubnets& classified,
     const dataset::BeaconDataset& beacons, const dataset::DemandDataset& demand,

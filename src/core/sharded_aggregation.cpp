@@ -17,37 +17,11 @@ namespace {
 
 using asdb::AsNumber;
 
-struct BeaconItem {
-  const netaddr::Prefix* block;
-  const dataset::BeaconBlockStats* stats;
-  AsNumber origin = 0;  // 0 is reserved: unrouted
-};
-
-struct DemandItem {
-  const netaddr::Prefix* block;
-  double du;
-  AsNumber origin = 0;  // 0 is reserved: unrouted
-};
-
-/// Fill in every item's origin AS (the longest-prefix-match walk
-/// dominates the stage) in parallel chunk batches.
-template <typename Item>
-void ResolveOrigins(const asdb::RoutingTable& rib, std::vector<Item>& items,
-                    exec::Executor& executor) {
-  constexpr std::size_t kGrain = 4096;
-  std::vector<netaddr::IpAddress> addrs(items.size());
-  std::vector<AsNumber> origins(items.size(), 0);
-  for (std::size_t i = 0; i < items.size(); ++i) addrs[i] = items[i].block->address();
-  executor.ParallelFor(items.size(), kGrain, [&](std::size_t begin, std::size_t end) {
-    rib.OriginOfBatch(std::span<const netaddr::IpAddress>(addrs).subspan(begin, end - begin),
-                      std::span<AsNumber>(origins).subspan(begin, end - begin));
-  });
-  for (std::size_t i = 0; i < items.size(); ++i) items[i].origin = origins[i];
-}
+constexpr std::size_t kGrain = 4096;
 
 /// Indices of the routed items, one list per shard, in item order.
 template <typename Item>
-std::vector<std::vector<std::uint32_t>> PartitionByShard(const std::vector<Item>& items,
+std::vector<std::vector<std::uint32_t>> PartitionByShard(std::span<const Item> items,
                                                          std::size_t shards) {
   std::vector<std::vector<std::uint32_t>> idx(shards);
   for (std::uint32_t i = 0; i < items.size(); ++i) {
@@ -71,32 +45,30 @@ std::size_t ShardOfAs(AsNumber asn, std::size_t shard_count) noexcept {
   return static_cast<std::size_t>(h % shard_count);
 }
 
-std::vector<AsAggregate> AggregateCandidateAsesSharded(
-    const asdb::RoutingTable& rib, const ClassifiedSubnets& classified,
-    const dataset::BeaconDataset& beacons, const dataset::DemandDataset& demand,
-    exec::Executor& executor, const AggregationConfig& config) {
+std::vector<AsNumber> ResolveOrigins(const asdb::RoutingTable& rib,
+                                     std::span<const netaddr::IpAddress> addrs,
+                                     exec::Executor& executor) {
+  (void)rib.Flat();  // compile once up front, not under the first chunk's lock
+  std::vector<AsNumber> origins(addrs.size(), 0);
+  executor.ParallelFor(addrs.size(), kGrain, [&](std::size_t begin, std::size_t end) {
+    rib.OriginOfBatch(addrs.subspan(begin, end - begin),
+                      std::span<AsNumber>(origins).subspan(begin, end - begin));
+  });
+  return origins;
+}
+
+std::vector<AsAggregate> AggregateCandidateItems(std::span<const BeaconItem> beacons,
+                                                 std::span<const DemandItem> demand,
+                                                 exec::Executor& executor,
+                                                 const AggregationConfig& config) {
   const std::size_t shards =
       config.shards != 0 ? config.shards : kAggregationShards;
 
-  std::vector<BeaconItem> beacon_items;
-  beacon_items.reserve(beacons.block_count());
-  beacons.ForEach([&](const netaddr::Prefix& block, const dataset::BeaconBlockStats& stats) {
-    beacon_items.push_back({&block, &stats});
-  });
-  std::vector<DemandItem> demand_items;
-  demand_items.reserve(demand.block_count());
-  demand.ForEach([&](const netaddr::Prefix& block, double du) {
-    demand_items.push_back({&block, du});
-  });
-  (void)rib.Flat();  // compile once up front, not under the first chunk's lock
-  ResolveOrigins(rib, beacon_items, executor);
-  ResolveOrigins(rib, demand_items, executor);
-
-  // Partition sequentially so every shard sees its items in dataset
-  // iteration order — the order the per-AS floating-point folds below
-  // depend on. Unrouted items belong to no AS and are skipped.
-  const auto beacon_idx = PartitionByShard(beacon_items, shards);
-  const auto demand_idx = PartitionByShard(demand_items, shards);
+  // Partition sequentially so every shard sees its items in item order
+  // — the order the per-AS floating-point folds below depend on.
+  // Unrouted items belong to no AS and are skipped.
+  const auto beacon_idx = PartitionByShard(beacons, shards);
+  const auto demand_idx = PartitionByShard(demand, shards);
 
   // One chunk per shard: the chunk index *is* the shard id, so the
   // executor decides only when a shard runs, never what it holds.
@@ -115,25 +87,21 @@ std::vector<AsAggregate> AggregateCandidateAsesSharded(
 
         // Beacon side: observed blocks, hits, cellular detections.
         for (const std::uint32_t i : beacon_idx[shard]) {
-          const BeaconItem& item = beacon_items[i];
-          const netaddr::Prefix& block = *item.block;
+          const BeaconItem& item = beacons[i];
           AsAggregate& agg = slot(item.origin);
-          agg.beacon_hits += item.stats->hits;
-          if (classified.RatioOf(block) != nullptr) {
-            if (block.family() == netaddr::Family::kIpv4) ++agg.observed_blocks_v4;
-            else ++agg.observed_blocks_v6;
-          }
-          if (classified.IsCellular(block)) {
-            if (block.family() == netaddr::Family::kIpv4) ++agg.cell_blocks_v4;
-            else ++agg.cell_blocks_v6;
-            agg.cellular_blocks.push_back(block);
-            agg.cell_demand_du += demand.DemandOf(block);
+          const bool v4 = item.block->family() == netaddr::Family::kIpv4;
+          agg.beacon_hits += item.hits;
+          if (item.observed) ++(v4 ? agg.observed_blocks_v4 : agg.observed_blocks_v6);
+          if (item.cellular) {
+            ++(v4 ? agg.cell_blocks_v4 : agg.cell_blocks_v6);
+            agg.cellular_blocks.push_back(*item.block);
+            agg.cell_demand_du += item.cell_demand_du;
           }
         }
         // Demand side, which also covers blocks with no beacons at all.
         for (const std::uint32_t i : demand_idx[shard]) {
-          AsAggregate& agg = slot(demand_items[i].origin);
-          agg.total_demand_du += demand_items[i].du;
+          AsAggregate& agg = slot(demand[i].origin);
+          agg.total_demand_du += demand[i].du;
           ++agg.demand_blocks;
         }
 
@@ -143,7 +111,7 @@ std::vector<AsAggregate> AggregateCandidateAsesSharded(
           std::sort(agg.cellular_blocks.begin(), agg.cellular_blocks.end());
           candidates.push_back(std::move(agg));
         }
-        span.set_items(candidates.size());
+        span.set_items(beacon_idx[shard].size() + demand_idx[shard].size());
       });
 
   // Canonical merge: concatenate in shard-index order, then one global
@@ -161,6 +129,46 @@ std::vector<AsAggregate> AggregateCandidateAsesSharded(
 
   obs::MetricsRegistry::Global().gauge("aggregate.shards").Set(static_cast<double>(shards));
   return candidates;
+}
+
+std::vector<AsAggregate> AggregateCandidateAsesSharded(
+    const asdb::RoutingTable& rib, const ClassifiedSubnets& classified,
+    const dataset::BeaconDataset& beacons, const dataset::DemandDataset& demand,
+    exec::Executor& executor, const AggregationConfig& config) {
+  std::vector<BeaconItem> beacon_items;
+  std::vector<DemandItem> demand_items;
+  {
+    std::vector<netaddr::IpAddress> addrs;
+    beacon_items.reserve(beacons.block_count());
+    addrs.reserve(beacons.block_count());
+    beacons.ForEach([&](const netaddr::Prefix& block, const dataset::BeaconBlockStats& stats) {
+      beacon_items.push_back({.block = &block, .hits = stats.hits});
+      addrs.push_back(block.address());
+    });
+    const std::vector<AsNumber> origins = ResolveOrigins(rib, addrs, executor);
+    // The per-block probes, each item written at its own row index.
+    executor.ParallelFor(beacon_items.size(), kGrain, [&](std::size_t begin, std::size_t end) {
+      for (std::size_t i = begin; i < end; ++i) {
+        BeaconItem& item = beacon_items[i];
+        item.origin = origins[i];
+        item.observed = classified.RatioOf(*item.block) != nullptr;
+        item.cellular = classified.IsCellular(*item.block);
+        if (item.cellular) item.cell_demand_du = demand.DemandOf(*item.block);
+      }
+    });
+  }
+  {
+    std::vector<netaddr::IpAddress> addrs;
+    demand_items.reserve(demand.block_count());
+    addrs.reserve(demand.block_count());
+    demand.ForEach([&](const netaddr::Prefix& block, double du) {
+      demand_items.push_back({.du = du});
+      addrs.push_back(block.address());
+    });
+    const std::vector<AsNumber> origins = ResolveOrigins(rib, addrs, executor);
+    for (std::size_t i = 0; i < demand_items.size(); ++i) demand_items[i].origin = origins[i];
+  }
+  return AggregateCandidateItems(beacon_items, demand_items, executor, config);
 }
 
 }  // namespace cellspot::core

@@ -43,6 +43,7 @@ struct Executor::Job {
   std::size_t n = 0;
   std::size_t grain = 1;
   const std::function<void(std::size_t, std::size_t, std::size_t)>* body = nullptr;
+  const obs::TraceSpan* span = nullptr;  // the caller's "exec.batch", parent of worker spans
 
   std::vector<Range> ranges;            // one span of chunk indices per participant
   std::vector<std::unique_ptr<std::mutex>> range_mu;
@@ -107,6 +108,7 @@ void Executor::ParallelForChunks(
   job.n = n;
   job.grain = grain;
   job.body = &body;
+  job.span = &batch_span;
   job.chunks_left.store(chunks, std::memory_order_relaxed);
   const unsigned participants = threads_;
   job.ranges.resize(participants);
@@ -188,7 +190,10 @@ void Executor::WorkerLoop(unsigned participant) {
       last_seen = job_seq_;
       ++job->active;
     }
-    RunJob(*job, participant);
+    {
+      const obs::CurrentSpanScope parent(job->span);
+      RunJob(*job, participant);
+    }
     {
       std::lock_guard<std::mutex> lock(mu_);
       --job->active;

@@ -6,9 +6,11 @@
 // aggregate row exists per distinct call-site nesting rather than per
 // occurrence.
 //
-// Nesting state is thread_local: a span opened on the calling thread is
-// not the parent of spans opened by executor workers (their stacks are
-// empty), which keeps the fast path lock-free and the paths meaningful.
+// Nesting state is thread_local, which keeps the fast path lock-free.
+// A thread that works on another thread's behalf adopts that thread's
+// span for the duration with a CurrentSpanScope: executor workers do so
+// for the "exec.batch" span of the job they run, so spans opened inside
+// a job's chunks nest under it on every thread, not as orphan roots.
 #pragma once
 
 #include <chrono>
@@ -47,11 +49,27 @@ class TraceSpan {
 
  private:
   MetricsRegistry* registry_;
-  TraceSpan* parent_;
+  const TraceSpan* parent_;
   std::string path_;
   int depth_;
   std::uint64_t items_ = 0;
   std::chrono::steady_clock::time_point start_;
+};
+
+/// Makes `span` the calling thread's current span for this scope, so
+/// spans opened here nest under it, and restores the previous one on
+/// exit. `span` (which may be null: no parent) must outlive the scope
+/// and must not close while it is in use.
+class CurrentSpanScope {
+ public:
+  explicit CurrentSpanScope(const TraceSpan* span) noexcept;
+  ~CurrentSpanScope();
+
+  CurrentSpanScope(const CurrentSpanScope&) = delete;
+  CurrentSpanScope& operator=(const CurrentSpanScope&) = delete;
+
+ private:
+  const TraceSpan* previous_;
 };
 
 }  // namespace cellspot::obs

@@ -6,7 +6,7 @@ namespace cellspot::obs {
 
 namespace {
 
-thread_local TraceSpan* t_current_span = nullptr;
+thread_local const TraceSpan* t_current_span = nullptr;
 
 }  // namespace
 
@@ -35,5 +35,12 @@ double TraceSpan::elapsed_ms() const noexcept {
 }
 
 const TraceSpan* TraceSpan::Current() noexcept { return t_current_span; }
+
+CurrentSpanScope::CurrentSpanScope(const TraceSpan* span) noexcept
+    : previous_(t_current_span) {
+  t_current_span = span;
+}
+
+CurrentSpanScope::~CurrentSpanScope() { t_current_span = previous_; }
 
 }  // namespace cellspot::obs

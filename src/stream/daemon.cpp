@@ -3,6 +3,8 @@
 #include <cmath>
 #include <iostream>
 #include <limits>
+#include <mutex>
+#include <span>
 #include <utility>
 
 #include "cellspot/core/sharded_aggregation.hpp"
@@ -325,8 +327,45 @@ core::ClassifiedSubnets StreamDaemon::ExportClassified() const {
 
 std::vector<core::AsAggregate> StreamDaemon::ExportCandidates(
     exec::Executor& executor) const {
-  return core::AggregateCandidateAsesSharded(world_.rib(), ExportClassified(),
-                                             ExportBeacons(), ExportDemand(), executor);
+  const std::span<const simnet::Subnet> subnets = world_.subnets();
+  // The RIB never changes, so each subnet's origin is resolved once, by
+  // the first export and on its executor.
+  std::call_once(origins_once_, [&] {
+    std::vector<netaddr::IpAddress> addrs(subnets.size());
+    for (std::size_t i = 0; i < subnets.size(); ++i) addrs[i] = subnets[i].block.address();
+    origins_ = core::ResolveOrigins(world_.rib(), addrs, executor);
+  });
+
+  // DEMAND normalised as ExportDemand's Add + Normalize do it: by the
+  // raw total summed in subnet order, when that total is positive.
+  double raw_total = 0.0;
+  for (const Slot& slot : slots_) {
+    if (slot.demand_seq != 0) raw_total += slot.demand_raw;
+  }
+  const double factor = raw_total > 0.0 ? dataset::kTotalDemandUnits / raw_total : 1.0;
+  const auto du_of = [factor](const Slot& slot) {
+    return slot.demand_seq != 0 ? slot.demand_raw * factor : 0.0;
+  };
+
+  // Items in subnet order: ExportBeacons' and ExportDemand's insertion
+  // order, and ExportClassified's verdicts.
+  std::vector<core::BeaconItem> beacons;
+  std::vector<core::DemandItem> demand;
+  beacons.reserve(slots_.size());
+  demand.reserve(slots_.size());
+  for (std::size_t i = 0; i < slots_.size(); ++i) {
+    const Slot& slot = slots_[i];
+    if (slot.beacon_seq != 0 && slot.stats.hits != 0) {
+      beacons.push_back({.block = &subnets[i].block,
+                         .hits = slot.stats.hits,
+                         .cell_demand_du = slot.cellular ? du_of(slot) : 0.0,
+                         .origin = origins_[i],
+                         .observed = slot.observed,
+                         .cellular = slot.cellular});
+    }
+    if (slot.demand_seq != 0) demand.push_back({.du = du_of(slot), .origin = origins_[i]});
+  }
+  return core::AggregateCandidateItems(beacons, demand, executor);
 }
 
 SubnetLiveness StreamDaemon::liveness(std::uint32_t subnet) const {

@@ -20,6 +20,7 @@
 #pragma once
 
 #include <cstdint>
+#include <mutex>
 #include <optional>
 #include <string>
 #include <vector>
@@ -118,9 +119,12 @@ class StreamDaemon {
   [[nodiscard]] core::ClassifiedSubnets ExportClassified() const;
 
   /// The §5 candidate-AS set over the daemon's current cumulative
-  /// state, via the aggregation engine against the world's RIB.
-  /// Byte-identical to running the batch pipeline's Aggregate stage on
-  /// this daemon's exports — at any thread count.
+  /// state: the slots, walked in subnet order, folded by the
+  /// aggregation engine (core::AggregateCandidateItems). The first call
+  /// resolves every subnet's origin AS against the world's RIB on
+  /// `executor`; later calls run no lookup. Byte-identical to running
+  /// the batch pipeline's Aggregate stage on this daemon's exports — at
+  /// any thread count.
   [[nodiscard]] std::vector<core::AsAggregate> ExportCandidates(
       exec::Executor& executor) const;
 
@@ -162,6 +166,9 @@ class StreamDaemon {
   FrameQueue queue_;
   std::vector<Slot> slots_;
   std::vector<std::string> drain_buffer_;
+  // Origin AS of every subnet's block, resolved by the first export.
+  mutable std::once_flag origins_once_;
+  mutable std::vector<asdb::AsNumber> origins_;
   std::uint64_t tick_ = 0;
   DaemonStats stats_;
 

@@ -7,14 +7,17 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cstdlib>
 #include <mutex>
 #include <set>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "cellspot/obs/metrics.hpp"
+#include "cellspot/obs/trace.hpp"
 
 namespace cellspot::exec {
 namespace {
@@ -239,6 +242,54 @@ TEST(BatchObservability, MoreThreadsThanItemsCoversEachIndexOnce) {
   ASSERT_NE(span, nullptr);
   EXPECT_EQ(span->count, 1u);
   EXPECT_EQ(span->items, 3u);
+}
+
+// Trace causality: a worker runs a job's chunks under the submitting
+// thread's "exec.batch" span, so every span a chunk opens nests under
+// it, whichever participant ran the chunk.
+TEST(BatchObservability, ChunkSpansNestUnderTheCallersBatchOnEveryThread) {
+  auto& reg = obs::MetricsRegistry::Global();
+  reg.ResetForTest();
+  Executor ex(4);
+  constexpr std::size_t kChunks = 64;
+  std::mutex mu;
+  std::set<std::thread::id> participants;
+  const auto chunk_body = [&](const char* name) {
+    return [&, name](std::size_t, std::size_t, std::size_t) {
+      const obs::TraceSpan span(name);
+      {
+        std::lock_guard<std::mutex> lock(mu);
+        participants.insert(std::this_thread::get_id());
+      }
+      // Long enough that the workers wake and take chunks.
+      std::this_thread::sleep_for(std::chrono::microseconds(500));
+    };
+  };
+  {
+    const obs::TraceSpan outer("outer");
+    ex.ParallelForChunks(kChunks, 1, chunk_body("chunk"));
+  }
+  // A job submitted with no span open parents its chunks to its own
+  // batch span alone: nothing of the previous job stays installed.
+  ex.ParallelForChunks(kChunks, 1, chunk_body("after"));
+  ASSERT_GT(participants.size(), 1u) << "no worker ran a chunk";
+
+  const auto snap = reg.Snapshot();
+  const auto* nested = FindSpan(snap, "outer/exec.batch/chunk");
+  ASSERT_NE(nested, nullptr);
+  EXPECT_EQ(nested->count, kChunks);
+  EXPECT_EQ(nested->depth, 2);
+  const auto* after = FindSpan(snap, "exec.batch/after");
+  ASSERT_NE(after, nullptr);
+  EXPECT_EQ(after->count, kChunks);
+  EXPECT_EQ(after->depth, 1);
+  for (const auto& s : snap.spans) {
+    EXPECT_TRUE(s.path == "outer" || s.path == "outer/exec.batch" ||
+                s.path == "outer/exec.batch/chunk" || s.path == "exec.batch" ||
+                s.path == "exec.batch/after")
+        << "orphan or misplaced span " << s.path;
+  }
+  EXPECT_EQ(obs::TraceSpan::Current(), nullptr);
 }
 
 }  // namespace

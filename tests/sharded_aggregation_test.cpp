@@ -13,15 +13,19 @@
 #include <cstdint>
 #include <filesystem>
 #include <set>
+#include <span>
 #include <sstream>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "cellspot/analysis/experiment.hpp"
+#include "cellspot/cdn/event_stream.hpp"
 #include "cellspot/exec/executor.hpp"
+#include "cellspot/faultsim/frame_chaos.hpp"
 #include "cellspot/faultsim/stream_corruptor.hpp"
 #include "cellspot/obs/metrics.hpp"
+#include "cellspot/obs/trace.hpp"
 #include "cellspot/snapshot/serde.hpp"
 #include "cellspot/snapshot/snapshot.hpp"
 #include "cellspot/snapshot/stage_cache.hpp"
@@ -147,6 +151,29 @@ TEST(ShardedAggregation, RecordsShardSpansAndPoolGauges) {
     if (s.path.find("aggregate.shard") != std::string::npos) shard_spans += s.count;
   }
   EXPECT_EQ(shard_spans, 4u);
+}
+
+// Every shard span nests under the job's "exec.batch", on the calling
+// thread and on the workers alike; none is an orphan root. Four runs,
+// so the workers take shards in at least one of them.
+TEST(ShardedAggregation, ShardSpansNestUnderTheBatchOnEveryThread) {
+  const analysis::Experiment& exp = TinyExperiment();
+  obs::MetricsRegistry::Global().ResetForTest();
+  exec::Executor ex(4);
+  constexpr int kRuns = 4;
+  for (int run = 0; run < kRuns; ++run) {
+    const obs::TraceSpan outer("aggregate.test");
+    (void)core::AggregateCandidateAsesSharded(exp.world.rib(), exp.classified, exp.beacons,
+                                              exp.demand, ex, {});
+  }
+  std::uint64_t shard_spans = 0;
+  for (const auto& s : obs::MetricsRegistry::Global().Snapshot().spans) {
+    if (!s.path.ends_with("aggregate.shard")) continue;
+    shard_spans += s.count;
+    EXPECT_EQ(s.path, "aggregate.test/exec.batch/aggregate.shard");
+    EXPECT_EQ(s.depth, 2) << s.path;
+  }
+  EXPECT_EQ(shard_spans, kRuns * core::kAggregationShards);
 }
 
 // ---------------------------------------------------------------------------
@@ -368,24 +395,185 @@ std::string DemandFrame(std::uint32_t subnet, std::uint32_t seq, double raw) {
   return stream::EncodeEventFrame(e);
 }
 
+/// Feed frames through the daemon with manual ticks, draining before
+/// each push so nothing sheds inside the harness itself.
+void Feed(stream::StreamDaemon& daemon, std::span<const std::string> frames) {
+  for (const std::string& frame : frames) {
+    while (daemon.queue().size() >= daemon.queue().capacity()) daemon.Tick();
+    daemon.queue().Push(frame);
+  }
+  while (daemon.queue().size() > 0) daemon.Tick();
+}
+
+/// Items folded by the "aggregate.shard" spans since the last reset.
+std::uint64_t FoldedItems() {
+  std::uint64_t items = 0;
+  for (const auto& s : obs::MetricsRegistry::Global().Snapshot().spans) {
+    if (s.path.ends_with("aggregate.shard")) items += s.items;
+  }
+  return items;
+}
+
+/// The daemon's slot-built candidates against the sequential reference
+/// over the daemon's own dataset exports, at 1, 2 and 8 threads. The
+/// slot builder must also fold exactly the items the dataset builder
+/// folds over those exports, including items that move no aggregate
+/// (a hit-less beacon). Returns the reference.
+std::vector<core::AsAggregate> ExpectExportMatchesReference(
+    const stream::StreamDaemon& daemon, const std::string& label) {
+  exec::Executor ref_ex(1);
+  const core::ClassifiedSubnets classified = daemon.ExportClassified();
+  const dataset::BeaconDataset beacons = daemon.ExportBeacons();
+  const dataset::DemandDataset demand = daemon.ExportDemand();
+  std::vector<core::AsAggregate> want = test_support::AggregateCandidateAsesSequential(
+      TinyWorld().rib(), classified, beacons, demand, ref_ex);
+  obs::MetricsRegistry::Global().ResetForTest();
+  (void)core::AggregateCandidateAsesSharded(TinyWorld().rib(), classified, beacons, demand,
+                                            ref_ex);
+  const std::uint64_t dataset_items = FoldedItems();
+  for (const unsigned threads : {1u, 2u, 8u}) {
+    const std::string at = label + " threads=" + std::to_string(threads);
+    exec::Executor ex(threads);
+    obs::MetricsRegistry::Global().ResetForTest();
+    ExpectBitIdentical(daemon.ExportCandidates(ex), want, at);
+    EXPECT_EQ(FoldedItems(), dataset_items) << at;
+  }
+  return want;
+}
+
+const std::vector<std::string>& TinyFrames() {
+  static const std::vector<std::string> frames =
+      cdn::EventStreamGenerator(TinyWorld(), {.rounds = 4}).GenerateFrames();
+  return frames;
+}
+
+// Every subnet restated once. Each thread count gets a fresh daemon, so
+// the once-per-daemon origin resolution runs at 1, 2 and 8 threads too;
+// after it, an export runs no LPM lookup.
 TEST(StreamDaemonAggregation, ExportCandidatesMatchesBatchEngines) {
-  stream::StreamDaemon daemon(TinyWorld(), {}, {});
   const std::uint32_t subnets =
       static_cast<std::uint32_t>(TinyWorld().subnets().size());
+  std::vector<std::string> frames;
   for (std::uint32_t s = 0; s < subnets; ++s) {
-    daemon.queue().Push(BeaconFrame(s, 1, /*netinfo=*/40, /*cellular=*/s % 3 ? 36 : 2));
-    daemon.queue().Push(DemandFrame(s, 1, /*raw=*/100.0 + s));
+    frames.push_back(BeaconFrame(s, 1, /*netinfo=*/40, /*cellular=*/s % 3 ? 36 : 2));
+    frames.push_back(DemandFrame(s, 1, /*raw=*/100.0 + s));
   }
-  while (daemon.Tick() > 0) {
-  }
+  for (const unsigned threads : {1u, 2u, 8u}) {
+    stream::StreamDaemon daemon(TinyWorld(), {}, {});
+    Feed(daemon, frames);
+    exec::Executor ex(threads);
+    const auto via_daemon = daemon.ExportCandidates(ex);
+    const auto batch = test_support::AggregateCandidateAsesSequential(
+        TinyWorld().rib(), daemon.ExportClassified(), daemon.ExportBeacons(),
+        daemon.ExportDemand(), ex);
+    ASSERT_FALSE(via_daemon.empty());
+    const std::string label = "daemon export threads=" + std::to_string(threads);
+    ExpectBitIdentical(via_daemon, batch, label);
 
-  exec::Executor ex(4);
-  const auto via_daemon = daemon.ExportCandidates(ex);
-  const auto batch = test_support::AggregateCandidateAsesSequential(
-      TinyWorld().rib(), daemon.ExportClassified(), daemon.ExportBeacons(),
-      daemon.ExportDemand(), ex);
-  ASSERT_FALSE(via_daemon.empty());
-  ExpectBitIdentical(via_daemon, batch, "daemon export");
+    const std::uint64_t lookups = CounterValue("lpm.lookup");
+    ExpectBitIdentical(daemon.ExportCandidates(ex), batch, label + " second export");
+    EXPECT_EQ(CounterValue("lpm.lookup"), lookups) << "a later export ran LPM lookups";
+  }
+}
+
+// Mid-stream state: after each round of a 4-round stream, then at
+// convergence, where the candidates also equal the batch pipeline's.
+TEST(StreamDaemonAggregation, ExportCandidatesMatchesAfterEveryRound) {
+  const std::vector<std::string>& frames = TinyFrames();
+  const std::size_t per_round = frames.size() / 4;
+  stream::StreamDaemon daemon(TinyWorld(), {}, {});
+  std::vector<core::AsAggregate> last;
+  for (std::size_t round = 0; round < 4; ++round) {
+    Feed(daemon, std::span<const std::string>(frames).subspan(round * per_round, per_round));
+    last = ExpectExportMatchesReference(daemon, "round " + std::to_string(round + 1));
+    ASSERT_FALSE(last.empty()) << "round " << round + 1;
+  }
+  ExpectBitIdentical(last, TinyExperiment().candidates, "converged vs batch pipeline");
+}
+
+// Sheds, duplicates, corrupt frames and reordering before the protected
+// final round: mid-stream state is whatever survived, then converged.
+TEST(StreamDaemonAggregation, ExportCandidatesMatchesUnderFrameChaos) {
+  const std::size_t final_begin =
+      cdn::EventStreamGenerator(TinyWorld(), {.rounds = 4}).FinalRoundBegin(TinyFrames().size());
+  for (const std::uint64_t seed : {1u, 7u, 42u}) {
+    faultsim::FrameChaos chaos(
+        {.corrupt = 0.1, .duplicate = 0.1, .drop = 0.1, .reorder_window = 8}, seed);
+    const std::vector<std::string> frames = chaos.Run(TinyFrames(), final_begin);
+    ASSERT_GT(chaos.stats().corrupted, 0u);
+    ASSERT_GT(chaos.stats().dropped, 0u);
+    const std::size_t final_count = TinyFrames().size() - final_begin;
+    const std::span<const std::string> all(frames);
+    stream::StreamDaemon daemon(TinyWorld(), {}, {});
+    Feed(daemon, all.first(all.size() - final_count));
+    EXPECT_GT(daemon.stats().corrupt, 0u);
+    ExpectExportMatchesReference(daemon, "chaos seed " + std::to_string(seed) + " mid-stream");
+    Feed(daemon, all.last(final_count));
+    ExpectBitIdentical(ExpectExportMatchesReference(
+                           daemon, "chaos seed " + std::to_string(seed) + " converged"),
+                       TinyExperiment().candidates, "chaos converged vs batch pipeline");
+  }
+}
+
+/// The first subnet of the world's first AS with at least `n` subnets,
+/// so hand-made slots share one origin AS.
+std::uint32_t FirstSubnetOfAnAsWith(std::uint32_t n) {
+  const std::span<const simnet::Subnet> subnets = TinyWorld().subnets();
+  std::uint32_t run = 0;
+  for (std::uint32_t i = 0; i < subnets.size(); ++i) {
+    run = i > 0 && subnets[i].asn == subnets[i - 1].asn ? run + 1 : 1;
+    if (run == n) return i + 1 - n;
+  }
+  ADD_FAILURE() << "no AS with " << n << " subnets";
+  return 0;
+}
+
+// One slot per edge case, all in one AS: a beacon without demand,
+// demand without a beacon, a beacon frame with 0 hits, a block observed
+// but not cellular, and one below min_netinfo_hits (5 here).
+TEST(StreamDaemonAggregation, ExportCandidatesMatchesOnHandMadeSlots) {
+  const std::uint32_t s = FirstSubnetOfAnAsWith(6);
+  stream::StreamDaemon daemon(TinyWorld(), {.min_netinfo_hits = 5}, {});
+  Feed(daemon, std::vector<std::string>{
+                   BeaconFrame(s, 1, /*netinfo=*/40, /*cellular=*/38),  // cellular
+                   DemandFrame(s, 1, 3.25),
+                   BeaconFrame(s + 1, 1, 40, 39),  // beacon without demand
+                   DemandFrame(s + 2, 1, 7.5),     // demand without beacon
+                   BeaconFrame(s + 3, 1, 0, 0),    // 0 hits
+                   DemandFrame(s + 3, 1, 1.0),
+                   BeaconFrame(s + 4, 1, 40, 2),  // observed, not cellular
+                   DemandFrame(s + 4, 1, 11.0),
+                   BeaconFrame(s + 5, 1, 3, 3),  // below min_netinfo_hits
+                   DemandFrame(s + 5, 1, 2.0),
+               });
+  const auto want = ExpectExportMatchesReference(daemon, "hand-made slots");
+  ASSERT_EQ(want.size(), 1u);
+  const core::AsAggregate& as = want[0];
+  EXPECT_EQ(as.asn, TinyWorld().subnets()[s].asn);
+  EXPECT_EQ(as.cell_blocks_v4 + as.cell_blocks_v6, 2u);
+  EXPECT_EQ(as.observed_blocks_v4 + as.observed_blocks_v6, 3u);
+  EXPECT_EQ(as.demand_blocks, 5u);
+  EXPECT_EQ(as.beacon_hits, 80u + 80u + 0u + 80u + 6u);
+  EXPECT_DOUBLE_EQ(as.total_demand_du, dataset::kTotalDemandUnits);
+  EXPECT_GT(as.cell_demand_du, 0.0);
+}
+
+// All demand zero: the total is 0, so no normalisation applies.
+TEST(StreamDaemonAggregation, ExportCandidatesMatchesWithAllZeroDemand) {
+  const std::uint32_t s = FirstSubnetOfAnAsWith(3);
+  stream::StreamDaemon daemon(TinyWorld(), {}, {});
+  Feed(daemon, std::vector<std::string>{
+                   BeaconFrame(s, 1, 40, 38),
+                   DemandFrame(s, 1, 0.0),
+                   BeaconFrame(s + 1, 1, 40, 1),
+                   DemandFrame(s + 1, 1, 0.0),
+                   DemandFrame(s + 2, 1, 0.0),
+               });
+  const auto want = ExpectExportMatchesReference(daemon, "all-zero demand");
+  ASSERT_EQ(want.size(), 1u);
+  EXPECT_EQ(want[0].demand_blocks, 3u);
+  EXPECT_EQ(Bits(want[0].total_demand_du), Bits(0.0));
+  EXPECT_EQ(Bits(want[0].cell_demand_du), Bits(0.0));
 }
 
 }  // namespace

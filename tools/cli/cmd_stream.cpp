@@ -1,5 +1,8 @@
 // stream: feed a chaos-prone event stream through the ingestion daemon,
 // optionally checkpointing and verifying against the batch pipeline.
+#include <algorithm>
+#include <bit>
+#include <cstdint>
 #include <cstdio>
 #include <memory>
 #include <string>
@@ -9,6 +12,7 @@
 
 #include "cellspot/analysis/pipeline.hpp"
 #include "cellspot/cdn/event_stream.hpp"
+#include "cellspot/core/as_pipeline.hpp"
 #include "cellspot/core/classifier.hpp"
 #include "cellspot/faultsim/frame_chaos.hpp"
 #include "cellspot/simnet/world.hpp"
@@ -20,6 +24,29 @@
 #include "cli/options.hpp"
 
 namespace cellspot::cli {
+
+namespace {
+
+/// Field-exact equality: every count, every double bit for bit, and the
+/// same cellular block lists.
+bool SameCandidates(const std::vector<core::AsAggregate>& got,
+                    const std::vector<core::AsAggregate>& want) {
+  const auto bits = [](double v) { return std::bit_cast<std::uint64_t>(v); };
+  return std::equal(
+      got.begin(), got.end(), want.begin(), want.end(),
+      [&](const core::AsAggregate& g, const core::AsAggregate& w) {
+        return g.asn == w.asn && g.cell_blocks_v4 == w.cell_blocks_v4 &&
+               g.cell_blocks_v6 == w.cell_blocks_v6 &&
+               g.observed_blocks_v4 == w.observed_blocks_v4 &&
+               g.observed_blocks_v6 == w.observed_blocks_v6 &&
+               g.demand_blocks == w.demand_blocks &&
+               bits(g.cell_demand_du) == bits(w.cell_demand_du) &&
+               bits(g.total_demand_du) == bits(w.total_demand_du) &&
+               g.beacon_hits == w.beacon_hits && g.cellular_blocks == w.cellular_blocks;
+      });
+}
+
+}  // namespace
 
 int CmdStream(const Options& opts) {
   simnet::WorldConfig config =
@@ -135,14 +162,17 @@ int CmdStream(const Options& opts) {
             snapshot::EncodeDatasets(daemon.ExportBeacons(), daemon.ExportDemand())) ==
         snapshot::EncodeSnapshot(snapshot::EncodeDatasets(
             pipeline.experiment().beacons, pipeline.experiment().demand));
-    if (!classified_ok || !datasets_ok) {
+    const bool candidates_ok =
+        SameCandidates(daemon.ExportCandidates(pipeline.executor()), pipeline.Aggregate());
+    if (!classified_ok || !datasets_ok || !candidates_ok) {
       std::fprintf(stderr,
                    "verify: stream state DIVERGED from batch (classified %s, "
-                   "datasets %s)\n",
-                   classified_ok ? "ok" : "mismatch", datasets_ok ? "ok" : "mismatch");
+                   "datasets %s, candidates %s)\n",
+                   classified_ok ? "ok" : "mismatch", datasets_ok ? "ok" : "mismatch",
+                   candidates_ok ? "ok" : "mismatch");
       return kExitError;
     }
-    std::printf("verify: stream state byte-identical to batch pipeline\n");
+    std::printf("verify: stream state and candidate ASes identical to batch pipeline\n");
   }
   return kExitOk;
 }
