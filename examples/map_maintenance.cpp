@@ -29,8 +29,8 @@ int main(int argc, char** argv) {
   const core::SubnetClassifier classifier;
 
   // Month-0 map: what the CDN deploys.
-  const auto base_map = classifier.Classify(sim.GenerateBeacons()).cellular();
-  std::unordered_set<netaddr::Prefix> deployed(base_map.begin(), base_map.end());
+  const core::ClassifiedSubnets base = classifier.Classify(sim.GenerateBeacons());
+  std::unordered_set<netaddr::Prefix> deployed(base.cellular().begin(), base.cellular().end());
   std::printf("deployed cellular map: %zu blocks\n\n", deployed.size());
   std::printf("%-6s %-22s %-22s %-14s\n", "month", "traffic still covered",
               "stale map entries", "fresh map size");

@@ -84,12 +84,6 @@ class Pipeline {
   /// Replace the filter config; invalidates only Filter.
   void set_filters(const core::AsFilterConfig& filters);
 
-  /// Inject externally-produced datasets (e.g. the streaming daemon's
-  /// exports) instead of running GenerateDatasets; invalidates Classify
-  /// and everything after it. BuildWorld still runs on demand — the
-  /// aggregation stages need the world's RIB.
-  void set_datasets(dataset::BeaconDataset beacons, dataset::DemandDataset demand);
-
   // ---- results ---------------------------------------------------------
 
   [[nodiscard]] const Config& config() const noexcept { return config_; }
@@ -114,9 +108,6 @@ class Pipeline {
   Experiment exp_;
   bool has_world_ = false;
   bool has_datasets_ = false;
-  bool external_datasets_ = false;  // set_datasets used: the stage cache's
-                                    // config-keyed classified entries no
-                                    // longer describe these inputs
   bool has_classified_ = false;
   bool has_candidates_ = false;
   bool has_filtered_ = false;

@@ -92,11 +92,7 @@ void Pipeline::GenerateDatasets() {
 const core::ClassifiedSubnets& Pipeline::Classify() {
   if (!has_classified_) {
     GenerateDatasets();
-    // The cache keys classified results by (world, classifier) config,
-    // which only describes pipeline-generated datasets — injected ones
-    // must bypass it in both directions.
-    const bool use_cache = cache_ && !external_datasets_;
-    if (use_cache) {
+    if (cache_) {
       if (auto classified =
               cache_->TryLoadClassified(config_.world, config_.classifier, executor_)) {
         exp_.classified = std::move(*classified);
@@ -111,7 +107,7 @@ const core::ClassifiedSubnets& Pipeline::Classify() {
       has_classified_ = true;
       span.set_items(exp_.classified.ratios().size());
     }
-    if (use_cache) cache_->StoreClassified(config_.world, config_.classifier, exp_.classified);
+    if (cache_) cache_->StoreClassified(config_.world, config_.classifier, exp_.classified);
   }
   return exp_.classified;
 }
@@ -149,21 +145,6 @@ const Experiment& Pipeline::Run() {
 
 void Pipeline::set_classifier(const core::ClassifierConfig& classifier) {
   config_.classifier = classifier;
-  has_classified_ = false;
-  has_candidates_ = false;
-  has_filtered_ = false;
-  exp_.classified = {};
-  exp_.candidates.clear();
-  exp_.filtered = {};
-}
-
-void Pipeline::set_datasets(dataset::BeaconDataset beacons,
-                            dataset::DemandDataset demand) {
-  BuildWorld();  // keep the stage order intact: datasets imply a world
-  exp_.beacons = std::move(beacons);
-  exp_.demand = std::move(demand);
-  has_datasets_ = true;
-  external_datasets_ = true;
   has_classified_ = false;
   has_candidates_ = false;
   has_filtered_ = false;

@@ -43,12 +43,12 @@ DatasetSummary SummarizeDatasets(const Experiment& exp) {
   std::size_t demand_v4_with_beacons = 0;
   double covered_weight = 0.0;
   double total_weight = 0.0;
-  exp.demand.ForEach([&](const netaddr::Prefix& block, double du) {
+  for (const auto& [block, du] : exp.demand.rows()) {
     total_weight += du;
     const bool seen = exp.beacons.Find(block) != nullptr;
     if (seen) covered_weight += du;
     if (seen && block.family() == netaddr::Family::kIpv4) ++demand_v4_with_beacons;
-  });
+  }
   if (s.demand_v4_blocks > 0) {
     s.beacon_coverage_of_demand_v4 =
         static_cast<double>(demand_v4_with_beacons) / s.demand_v4_blocks;
@@ -145,11 +145,11 @@ std::vector<CountryDemand> CountryDemandReport(const Experiment& exp) {
   util::StableSet<AsNumber> kept;
   for (const core::AsAggregate& as : exp.filtered.kept) kept.Insert(as.asn);
 
-  exp.demand.ForEach([&](const netaddr::Prefix& block, double du) {
+  for (const auto& [block, du] : exp.demand.rows()) {
     const auto origin = exp.world.rib().OriginOf(block.address());
-    if (!origin) return;
+    if (!origin) continue;
     const AsRecord* record = exp.world.as_db().Find(*origin);
-    if (record == nullptr || record->country_iso.empty()) return;
+    if (record == nullptr || record->country_iso.empty()) continue;
     CountryDemand& cd = by_iso[record->country_iso];
     if (cd.iso.empty()) {
       cd.iso = record->country_iso;
@@ -160,7 +160,7 @@ std::vector<CountryDemand> CountryDemandReport(const Experiment& exp) {
     if (kept.Contains(*origin) && exp.classified.IsCellular(block)) {
       cd.cell_du += du;
     }
-  });
+  }
 
   std::vector<CountryDemand> out;
   out.reserve(by_iso.size());
@@ -277,15 +277,15 @@ std::vector<OperatorBlockPoint> OperatorRatioBreakdown(const Experiment& exp,
 
 SubnetConcentration SubnetConcentrationReport(const Experiment& exp, AsNumber asn) {
   SubnetConcentration out;
-  exp.demand.ForEach([&](const netaddr::Prefix& block, double du) {
+  for (const auto& [block, du] : exp.demand.rows()) {
     const auto origin = exp.world.rib().OriginOf(block.address());
-    if (!origin || *origin != asn || du <= 0.0) return;
+    if (!origin || *origin != asn || du <= 0.0) continue;
     if (exp.classified.IsCellular(block)) {
       out.cellular_demands.push_back(du);
     } else {
       out.fixed_demands.push_back(du);
     }
-  });
+  }
   std::sort(out.cellular_demands.begin(), out.cellular_demands.end(), std::greater<>());
   std::sort(out.fixed_demands.begin(), out.fixed_demands.end(), std::greater<>());
 

@@ -7,7 +7,7 @@
 #include "cellspot/dataset/beacon_dataset.hpp"
 #include "cellspot/dataset/demand_dataset.hpp"
 #include "cellspot/exec/executor.hpp"
-#include "cellspot/stream/event.hpp"
+#include "cellspot/snapshot/event_frame.hpp"
 
 namespace cellspot::cdn {
 
@@ -74,8 +74,8 @@ std::vector<std::string> EventStreamGenerator::GenerateFrames(
     const bool last = r + 1 == config_.rounds;
     for (const Final& f : finals) {
       if (f.stats != nullptr) {
-        stream::StreamEvent e;
-        e.kind = stream::EventKind::kBeacon;
+        snapshot::StreamEvent e;
+        e.kind = snapshot::EventKind::kBeacon;
         e.subnet = f.subnet;
         e.seq = r + 1;
         e.stats.hits = CumulativeAt(f.stats->hits, r, config_.rounds);
@@ -88,11 +88,11 @@ std::vector<std::string> EventStreamGenerator::GenerateFrames(
         e.stats.other_labels = CumulativeAt(f.stats->other_labels, r, config_.rounds);
         e.stats.mobile_browser_hits =
             CumulativeAt(f.stats->mobile_browser_hits, r, config_.rounds);
-        frames.push_back(stream::EncodeEventFrame(e));
+        frames.push_back(snapshot::EncodeEventFrame(e));
       }
       if (f.has_demand) {
-        stream::StreamEvent e;
-        e.kind = stream::EventKind::kDemand;
+        snapshot::StreamEvent e;
+        e.kind = snapshot::EventKind::kDemand;
         e.subnet = f.subnet;
         e.seq = r + 1;
         // Mid-stream rounds scale the total; the last round restates it
@@ -100,7 +100,7 @@ std::vector<std::string> EventStreamGenerator::GenerateFrames(
         e.demand_raw = last ? f.demand_raw
                             : f.demand_raw * (static_cast<double>(r) + 1.0) /
                                   static_cast<double>(config_.rounds);
-        frames.push_back(stream::EncodeEventFrame(e));
+        frames.push_back(snapshot::EncodeEventFrame(e));
       }
     }
   }

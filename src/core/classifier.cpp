@@ -66,42 +66,32 @@ ClassifiedSubnets SubnetClassifier::Classify(const dataset::BeaconDataset& beaco
 
 ClassifiedSubnets SubnetClassifier::Classify(const dataset::BeaconDataset& beacons,
                                              exec::Executor& executor) const {
-  // Materialise the dataset in its iteration order; the map's element
-  // references are stable, so the parallel phase can read through them.
-  struct Item {
-    const netaddr::Prefix* block;
-    const dataset::BeaconBlockStats* stats;
-  };
-  std::vector<Item> items;
-  items.reserve(beacons.block_count());
-  beacons.ForEach([&](const netaddr::Prefix& block, const dataset::BeaconBlockStats& stats) {
-    items.push_back({&block, &stats});
-  });
-
+  const auto rows = beacons.rows();
   struct Verdict {
     bool observed = false;
     bool cellular = false;
   };
-  std::vector<Verdict> verdicts(items.size());
-  executor.ParallelFor(items.size(), 4096, [&](std::size_t begin, std::size_t end) {
+  std::vector<Verdict> verdicts(rows.size());
+  executor.ParallelFor(rows.size(), 4096, [&](std::size_t begin, std::size_t end) {
     for (std::size_t i = begin; i < end; ++i) {
-      const dataset::BeaconBlockStats& stats = *items[i].stats;
+      const dataset::BeaconBlockStats& stats = rows[i].second;
       if (stats.netinfo_hits < config_.min_netinfo_hits) continue;
       verdicts[i].observed = true;
       verdicts[i].cellular = Score(stats, config_) >= config_.threshold;
     }
   });
 
-  // Ordered merge in dataset iteration order, so the output containers
+  // Ordered merge in the dataset's row order, so the output containers
   // see the same insertion sequence as the sequential implementation.
   ClassifiedSubnets out;
-  out.ratios_.reserve(beacons.block_count());
-  for (std::size_t i = 0; i < items.size(); ++i) {
+  out.ratios_.reserve(rows.size());
+  for (std::size_t i = 0; i < rows.size(); ++i) {
     if (!verdicts[i].observed) continue;
+    const auto& [block, stats] = rows[i];
     // The recorded ratio is always the point estimate (it feeds Fig 2);
     // only the decision uses the configured score.
-    out.ratios_.Emplace(*items[i].block, items[i].stats->CellularRatio());
-    if (verdicts[i].cellular) out.cellular_.Insert(*items[i].block);
+    out.ratios_.Emplace(block, stats.CellularRatio());
+    if (verdicts[i].cellular) out.cellular_.Insert(block);
   }
   return out;
 }

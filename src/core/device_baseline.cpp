@@ -22,12 +22,12 @@ bool DeviceTypeClassifier::IsCellular(const dataset::BeaconBlockStats& stats) co
 ClassifiedSubnets DeviceTypeClassifier::Classify(
     const dataset::BeaconDataset& beacons) const {
   ClassifiedSubnets out;
-  beacons.ForEach([&](const netaddr::Prefix& block, const dataset::BeaconBlockStats& stats) {
-    if (stats.hits < config_.min_hits) return;
+  for (const auto& [block, stats] : beacons.rows()) {
+    if (stats.hits < config_.min_hits) continue;
     const double ratio = stats.MobileDeviceRatio();
     out.ratios_.Emplace(block, ratio);
     if (ratio >= config_.threshold) out.cellular_.Insert(block);
-  });
+  }
   return out;
 }
 

@@ -4,6 +4,8 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
+#include <utility>
 
 #include "cellspot/dataset/beacon_dataset.hpp"
 #include "cellspot/netaddr/prefix.hpp"
@@ -49,14 +51,17 @@ class ClassifiedSubnets {
   /// True if the block was observed and classified cellular.
   [[nodiscard]] bool IsCellular(const netaddr::Prefix& block) const noexcept;
 
-  /// Per-block ratios and the cellular subset, in the beacon dataset's
-  /// iteration order (stable across snapshot save/load).
-  [[nodiscard]] const util::StableMap<netaddr::Prefix, double>& ratios() const noexcept {
-    return ratios_;
+  /// Per-block (block, ratio) rows and the cellular blocks, each in the
+  /// beacon dataset's row order (stable across snapshot save/load). Like
+  /// the datasets' rows(), neither can be taken from a temporary.
+  [[nodiscard]] std::span<const std::pair<netaddr::Prefix, double>> ratios() const& noexcept {
+    return ratios_.entries();
   }
-  [[nodiscard]] const util::StableSet<netaddr::Prefix>& cellular() const noexcept {
-    return cellular_;
+  void ratios() const&& = delete;
+  [[nodiscard]] std::span<const netaddr::Prefix> cellular() const& noexcept {
+    return cellular_.entries();
   }
+  void cellular() const&& = delete;
 
   [[nodiscard]] std::size_t observed_count(netaddr::Family f) const noexcept;
   [[nodiscard]] std::size_t cellular_count(netaddr::Family f) const noexcept;

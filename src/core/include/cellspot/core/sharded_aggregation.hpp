@@ -17,6 +17,7 @@
 #include <vector>
 
 #include "cellspot/core/as_pipeline.hpp"
+#include "cellspot/exec/executor.hpp"
 
 namespace cellspot::core {
 
@@ -53,11 +54,28 @@ struct DemandItem {
   asdb::AsNumber origin = 0;  // 0 (reserved): unrouted
 };
 
-/// Origin AS of every address, in order, looked up in parallel
-/// OriginOfBatch batches; 0 (reserved) marks unrouted.
-[[nodiscard]] std::vector<asdb::AsNumber> ResolveOrigins(
-    const asdb::RoutingTable& rib, std::span<const netaddr::IpAddress> addrs,
-    exec::Executor& executor);
+/// Rows per ResolveOrigins chunk, so per OriginOfBatch call.
+inline constexpr std::size_t kResolveGrain = 4096;
+
+/// Origin AS of rows 0..n-1, where row i's address is `address_of(i)`;
+/// 0 (reserved) marks unrouted. Each executor chunk gathers its
+/// addresses into a chunk-local buffer and resolves them with one
+/// OriginOfBatch call, writing each origin at its row index. This is
+/// the one batch origin lookup outside asdb.
+template <typename AddressOf>
+[[nodiscard]] std::vector<asdb::AsNumber> ResolveOrigins(const asdb::RoutingTable& rib,
+                                                         std::size_t n,
+                                                         const AddressOf& address_of,
+                                                         exec::Executor& executor) {
+  (void)rib.Flat();  // compile once up front, not under the first chunk's lock
+  std::vector<asdb::AsNumber> origins(n, 0);
+  executor.ParallelFor(n, kResolveGrain, [&](std::size_t begin, std::size_t end) {
+    std::vector<netaddr::IpAddress> addrs(end - begin);
+    for (std::size_t i = begin; i < end; ++i) addrs[i - begin] = address_of(i);
+    rib.OriginOfBatch(addrs, std::span<asdb::AsNumber>(origins).subspan(begin, end - begin));
+  });
+  return origins;
+}
 
 /// The fold: every routed item into its origin AS's aggregate. Only
 /// ASes with at least one cellular block are returned, sorted by ASN,
@@ -69,8 +87,9 @@ struct DemandItem {
     exec::Executor& executor, const AggregationConfig& config = {});
 
 /// Joins classification, beacons and demand by origin AS (via the RIB)
-/// into items in dataset iteration order, then folds them — the §5
-/// "straw-man" candidate set (1,263 ASes in the paper).
+/// into items, item i from dataset row i, written in parallel; then
+/// folds them — the §5 "straw-man" candidate set (1,263 ASes in the
+/// paper).
 [[nodiscard]] std::vector<AsAggregate> AggregateCandidateAsesSharded(
     const asdb::RoutingTable& rib, const ClassifiedSubnets& classified,
     const dataset::BeaconDataset& beacons, const dataset::DemandDataset& demand,

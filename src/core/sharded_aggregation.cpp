@@ -45,18 +45,6 @@ std::size_t ShardOfAs(AsNumber asn, std::size_t shard_count) noexcept {
   return static_cast<std::size_t>(h % shard_count);
 }
 
-std::vector<AsNumber> ResolveOrigins(const asdb::RoutingTable& rib,
-                                     std::span<const netaddr::IpAddress> addrs,
-                                     exec::Executor& executor) {
-  (void)rib.Flat();  // compile once up front, not under the first chunk's lock
-  std::vector<AsNumber> origins(addrs.size(), 0);
-  executor.ParallelFor(addrs.size(), kGrain, [&](std::size_t begin, std::size_t end) {
-    rib.OriginOfBatch(addrs.subspan(begin, end - begin),
-                      std::span<AsNumber>(origins).subspan(begin, end - begin));
-  });
-  return origins;
-}
-
 std::vector<AsAggregate> AggregateCandidateItems(std::span<const BeaconItem> beacons,
                                                  std::span<const DemandItem> demand,
                                                  exec::Executor& executor,
@@ -135,39 +123,36 @@ std::vector<AsAggregate> AggregateCandidateAsesSharded(
     const asdb::RoutingTable& rib, const ClassifiedSubnets& classified,
     const dataset::BeaconDataset& beacons, const dataset::DemandDataset& demand,
     exec::Executor& executor, const AggregationConfig& config) {
-  std::vector<BeaconItem> beacon_items;
-  std::vector<DemandItem> demand_items;
-  {
-    std::vector<netaddr::IpAddress> addrs;
-    beacon_items.reserve(beacons.block_count());
-    addrs.reserve(beacons.block_count());
-    beacons.ForEach([&](const netaddr::Prefix& block, const dataset::BeaconBlockStats& stats) {
-      beacon_items.push_back({.block = &block, .hits = stats.hits});
-      addrs.push_back(block.address());
-    });
-    const std::vector<AsNumber> origins = ResolveOrigins(rib, addrs, executor);
-    // The per-block probes, each item written at its own row index.
-    executor.ParallelFor(beacon_items.size(), kGrain, [&](std::size_t begin, std::size_t end) {
-      for (std::size_t i = begin; i < end; ++i) {
-        BeaconItem& item = beacon_items[i];
-        item.origin = origins[i];
-        item.observed = classified.RatioOf(*item.block) != nullptr;
-        item.cellular = classified.IsCellular(*item.block);
-        if (item.cellular) item.cell_demand_du = demand.DemandOf(*item.block);
-      }
-    });
-  }
-  {
-    std::vector<netaddr::IpAddress> addrs;
-    demand_items.reserve(demand.block_count());
-    addrs.reserve(demand.block_count());
-    demand.ForEach([&](const netaddr::Prefix& block, double du) {
-      demand_items.push_back({.du = du});
-      addrs.push_back(block.address());
-    });
-    const std::vector<AsNumber> origins = ResolveOrigins(rib, addrs, executor);
-    for (std::size_t i = 0; i < demand_items.size(); ++i) demand_items[i].origin = origins[i];
-  }
+  const auto beacon_rows = beacons.rows();
+  const auto demand_rows = demand.rows();
+  const std::vector<AsNumber> beacon_origins = ResolveOrigins(
+      rib, beacon_rows.size(), [&](std::size_t i) { return beacon_rows[i].first.address(); },
+      executor);
+  const std::vector<AsNumber> demand_origins = ResolveOrigins(
+      rib, demand_rows.size(), [&](std::size_t i) { return demand_rows[i].first.address(); },
+      executor);
+
+  // Item i from row i: the per-block probes run in parallel, and the
+  // items keep the datasets' row order the fold depends on.
+  std::vector<BeaconItem> beacon_items(beacon_rows.size());
+  executor.ParallelFor(beacon_rows.size(), kGrain, [&](std::size_t begin, std::size_t end) {
+    for (std::size_t i = begin; i < end; ++i) {
+      const auto& [block, stats] = beacon_rows[i];
+      const bool cellular = classified.IsCellular(block);
+      beacon_items[i] = {.block = &block,
+                         .hits = stats.hits,
+                         .cell_demand_du = cellular ? demand.DemandOf(block) : 0.0,
+                         .origin = beacon_origins[i],
+                         .observed = classified.RatioOf(block) != nullptr,
+                         .cellular = cellular};
+    }
+  });
+  std::vector<DemandItem> demand_items(demand_rows.size());
+  executor.ParallelFor(demand_rows.size(), kGrain, [&](std::size_t begin, std::size_t end) {
+    for (std::size_t i = begin; i < end; ++i) {
+      demand_items[i] = {.du = demand_rows[i].second, .origin = demand_origins[i]};
+    }
+  });
   return AggregateCandidateItems(beacon_items, demand_items, executor, config);
 }
 

@@ -52,12 +52,6 @@ void BeaconDataset::Add(const netaddr::Prefix& block, const BeaconBlockStats& st
   total_netinfo_hits_ += stats.netinfo_hits;
 }
 
-void BeaconDataset::Merge(const BeaconDataset& other) {
-  other.ForEach([&](const netaddr::Prefix& block, const BeaconBlockStats& stats) {
-    Add(block, stats);
-  });
-}
-
 const BeaconBlockStats* BeaconDataset::Find(const netaddr::Prefix& block) const noexcept {
   return blocks_.Find(block);
 }

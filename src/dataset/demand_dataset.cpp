@@ -36,10 +36,6 @@ void DemandDataset::Normalize() {
   total_ = kTotalDemandUnits;
 }
 
-void DemandDataset::Merge(const DemandDataset& other) {
-  other.ForEach([&](const netaddr::Prefix& block, double du) { Add(block, du); });
-}
-
 double DemandDataset::DemandOf(const netaddr::Prefix& block) const noexcept {
   const double* du = blocks_.Find(block);
   return du == nullptr ? 0.0 : *du;

@@ -5,6 +5,8 @@
 
 #include <cstdint>
 #include <iosfwd>
+#include <span>
+#include <utility>
 
 #include "cellspot/netaddr/prefix.hpp"
 #include "cellspot/util/ingest.hpp"
@@ -67,17 +69,15 @@ class BeaconDataset {
     return total_netinfo_hits_;
   }
 
-  /// Visit every (block, stats) pair in insertion order. The order is a
-  /// property of the data (it survives SaveCsv/LoadCsv and snapshot
-  /// roundtrips), which keeps downstream exports byte-identical.
-  template <typename Visitor>
-  void ForEach(Visitor&& visit) const {
-    for (const auto& [block, stats] : blocks_) visit(block, stats);
-  }
+  using Row = std::pair<netaddr::Prefix, BeaconBlockStats>;
 
-  /// Merge another dataset into this one (log shards aggregated on
-  /// different servers combine associatively).
-  void Merge(const BeaconDataset& other);
+  /// Every (block, stats) row in insertion order; row i is the i-th
+  /// block added. The order is a property of the data (it survives
+  /// SaveCsv/LoadCsv and snapshot roundtrips), which keeps downstream
+  /// exports byte-identical. The span is valid until the next Add or
+  /// the dataset's end, so it cannot be taken from a temporary.
+  [[nodiscard]] std::span<const Row> rows() const& noexcept { return blocks_.entries(); }
+  void rows() const&& = delete;
 
   /// CSV persistence: header + one row per block. LoadCsv routes
   /// malformed rows through the ingest policy in `options` (strict by

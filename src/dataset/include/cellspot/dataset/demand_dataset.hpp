@@ -5,6 +5,8 @@
 
 #include <cstdint>
 #include <iosfwd>
+#include <span>
+#include <utility>
 
 #include "cellspot/netaddr/prefix.hpp"
 #include "cellspot/util/ingest.hpp"
@@ -36,13 +38,11 @@ class DemandDataset {
   [[nodiscard]] std::size_t block_count(netaddr::Family f) const noexcept;
   [[nodiscard]] double total() const noexcept { return total_; }
 
-  template <typename Visitor>
-  void ForEach(Visitor&& visit) const {
-    for (const auto& [block, du] : blocks_) visit(block, du);
-  }
+  using Row = std::pair<netaddr::Prefix, double>;
 
-  /// Merge another (un-normalised) dataset into this one.
-  void Merge(const DemandDataset& other);
+  /// Every (block, DU) row in insertion order, as BeaconDataset::rows().
+  [[nodiscard]] std::span<const Row> rows() const& noexcept { return blocks_.entries(); }
+  void rows() const&& = delete;
 
   /// CSV persistence. LoadCsv routes malformed rows through the ingest
   /// policy in `options` (strict by default: throw on the first fault).

@@ -39,8 +39,6 @@ enum class FaultKind : std::uint8_t {
 
 inline constexpr std::size_t kFaultKindCount = 6;
 
-[[nodiscard]] std::string_view FaultKindName(FaultKind k) noexcept;
-
 /// Per-line fault probabilities; the remainder (1 - Total()) passes the
 /// line through untouched. Total() must not exceed 1.
 struct FaultMix {

@@ -24,18 +24,6 @@ std::string JoinFields(const std::vector<std::string_view>& fields) {
 
 }  // namespace
 
-std::string_view FaultKindName(FaultKind k) noexcept {
-  switch (k) {
-    case FaultKind::kTruncate: return "truncate";
-    case FaultKind::kDropField: return "drop-field";
-    case FaultKind::kGarbleBytes: return "garble-bytes";
-    case FaultKind::kShuffleColumns: return "shuffle-columns";
-    case FaultKind::kDuplicateRow: return "duplicate-row";
-    case FaultKind::kBlankLine: return "blank-line";
-  }
-  return "?";
-}
-
 std::uint64_t CorruptionStats::total_faults() const noexcept {
   std::uint64_t n = 0;
   for (std::uint64_t f : faults) n += f;

@@ -96,15 +96,6 @@ class FlatLpm {
         [&](std::size_t) -> const T& { return value; }));
   }
 
-  /// Parse and validate a payload, copying the bytes into an owned
-  /// buffer. Throws FlatLpmError on any defect. The header and the
-  /// length its counts imply are checked on the caller's bytes, so only
-  /// a payload of the right length is copied.
-  [[nodiscard]] static FlatLpm Decode(std::string_view payload) {
-    (void)ReadHeader(payload);
-    return Own(std::string(payload));
-  }
-
   /// Zero-copy view over externally owned bytes (e.g. a memory-mapped
   /// snapshot section). `keepalive` must keep `payload` valid for the
   /// lifetime of the FlatLpm and every copy of it. Validation is a full

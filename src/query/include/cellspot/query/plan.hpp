@@ -52,9 +52,6 @@ struct Value {
 
 enum class CompareOp : std::uint8_t { kEq = 0, kNe, kLt, kLe, kGt, kGe };
 
-/// "=", "!=", "<", "<=", ">", ">=".
-[[nodiscard]] std::string_view CompareOpName(CompareOp op) noexcept;
-
 /// Keep rows where `column <op> value`. String and prefix columns
 /// support only kEq/kNe.
 struct Filter {

@@ -55,18 +55,6 @@ Value ParseLiteral(std::string_view text, const Column& column) {
 
 }  // namespace
 
-std::string_view CompareOpName(CompareOp op) noexcept {
-  switch (op) {
-    case CompareOp::kEq: return "=";
-    case CompareOp::kNe: return "!=";
-    case CompareOp::kLt: return "<";
-    case CompareOp::kLe: return "<=";
-    case CompareOp::kGt: return ">";
-    case CompareOp::kGe: return ">=";
-  }
-  return "?";
-}
-
 std::string_view AggKindName(AggKind k) noexcept {
   switch (k) {
     case AggKind::kCount: return "count";

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <functional>
+#include <span>
 #include <string>
 #include <string_view>
 #include <system_error>
@@ -125,43 +126,41 @@ Column F64Column(std::string name, std::vector<double> values) {
   return {.name = std::move(name), .type = ColumnType::kF64, .f64 = std::move(values)};
 }
 
-/// Joins the artifact rows whose blocks `rows` points at, in parallel:
-/// each chunk resolves its origins in one batch LPM call, then writes
-/// row i's leading columns (block, family, asn, country, continent) and
-/// calls `rest(i, block, origin)` for the table's own columns, every
-/// value at its row index, so the table is identical at any thread
-/// count. Returns the leading columns.
-template <typename Rest>
-std::vector<Column> Join(const JoinContext& ctx, const std::vector<const netaddr::Prefix*>& rows,
+/// Joins an artifact's (block, value) rows in parallel: the origins
+/// come from core::ResolveOrigins, then each chunk writes row i's
+/// leading columns (block, family, asn, country, continent) and calls
+/// `rest(i, row, origin)` for the table's own columns, every value at
+/// its row index, so the table is identical at any thread count.
+/// Returns the leading columns.
+template <typename Row, typename Rest>
+std::vector<Column> Join(const JoinContext& ctx, std::span<const Row> rows,
                          exec::Executor& executor, Rest rest) {
   const std::size_t n = rows.size();
   std::vector<netaddr::Prefix> blocks;
   std::vector<std::uint32_t> family, country, continent;
   std::vector<std::uint64_t> asn;
   SizeColumns(n, executor, blocks, family, country, continent, asn);
-  const asdb::RoutingTable* rib = ctx.refs->rib;
   const asdb::AsDatabase* as_db = ctx.refs->as_db;
-  if (rib != nullptr) (void)rib->Flat();  // compile once, not under the first chunk
+  const std::vector<asdb::AsNumber> origins =
+      ctx.refs->rib != nullptr
+          ? core::ResolveOrigins(
+                *ctx.refs->rib, n, [&](std::size_t i) { return rows[i].first.address(); },
+                executor)
+          : std::vector<asdb::AsNumber>(n, 0);
   executor.ParallelFor(n, kGrain, [&](std::size_t begin, std::size_t end) {
-    std::vector<netaddr::IpAddress> addrs(end - begin);
-    std::vector<asdb::AsNumber> origins(end - begin, 0);
     for (std::size_t i = begin; i < end; ++i) {
-      blocks[i] = *rows[i];
-      addrs[i - begin] = blocks[i].address();
-    }
-    if (rib != nullptr) rib->OriginOfBatch(addrs, origins);
-    for (std::size_t i = begin; i < end; ++i) {
-      Origin origin{.asn = origins[i - begin]};
+      Origin origin{.asn = origins[i]};
       if (origin.asn != 0) {
         origin.kept = ctx.kept_asns.Contains(origin.asn);
         const asdb::AsRecord* rec = as_db != nullptr ? as_db->Find(origin.asn) : nullptr;
         if (rec != nullptr) origin.codes = ctx.as_codes[rec - as_db->records().data()];
       }
+      blocks[i] = rows[i].first;
       family[i] = blocks[i].family() == netaddr::Family::kIpv4 ? 0 : 1;
       asn[i] = origin.asn;
       country[i] = origin.codes.country;
       continent[i] = origin.codes.continent;
-      rest(i, blocks[i], origin);
+      rest(i, rows[i], origin);
     }
   });
   std::vector<Column> columns;
@@ -178,22 +177,15 @@ std::vector<Column> Join(const JoinContext& ctx, const std::vector<const netaddr
 
 Table BuildBeaconTable(const JoinContext& ctx, exec::Executor& executor) {
   const ArtifactRefs& refs = *ctx.refs;
-  const std::size_t n = refs.beacons->block_count();
-  std::vector<const netaddr::Prefix*> rows;
-  std::vector<const dataset::BeaconBlockStats*> stats;
-  rows.reserve(n);
-  stats.reserve(n);
-  refs.beacons->ForEach([&](const netaddr::Prefix& block, const dataset::BeaconBlockStats& s) {
-    rows.push_back(&block);
-    stats.push_back(&s);
-  });
+  const auto rows = refs.beacons->rows();
   std::vector<std::uint64_t> hits, netinfo, cell_l, wifi_l, eth_l, other_l, mobile, cellular;
   std::vector<double> ratio, du;
-  SizeColumns(n, executor, hits, netinfo, cell_l, wifi_l, eth_l, other_l, mobile, cellular, ratio,
-              du);
+  SizeColumns(rows.size(), executor, hits, netinfo, cell_l, wifi_l, eth_l, other_l, mobile,
+              cellular, ratio, du);
   std::vector<Column> columns = Join(
-      ctx, rows, executor, [&](std::size_t i, const netaddr::Prefix& block, const Origin&) {
-        const dataset::BeaconBlockStats& s = *stats[i];
+      ctx, rows, executor,
+      [&](std::size_t i, const dataset::BeaconDataset::Row& row, const Origin&) {
+        const auto& [block, s] = row;
         hits[i] = s.hits;
         netinfo[i] = s.netinfo_hits;
         cell_l[i] = s.cellular_labels;
@@ -220,21 +212,15 @@ Table BuildBeaconTable(const JoinContext& ctx, exec::Executor& executor) {
 
 Table BuildDemandTable(const JoinContext& ctx, exec::Executor& executor) {
   const ArtifactRefs& refs = *ctx.refs;
-  const std::size_t n = refs.demand->block_count();
-  std::vector<const netaddr::Prefix*> rows;
-  std::vector<const double*> du_src;
-  rows.reserve(n);
-  du_src.reserve(n);
-  refs.demand->ForEach([&](const netaddr::Prefix& block, const double& d) {
-    rows.push_back(&block);
-    du_src.push_back(&d);
-  });
+  const auto rows = refs.demand->rows();
   std::vector<std::uint64_t> cellular, kept, excluded, in_beacon;
   std::vector<double> du, cell_du;
-  SizeColumns(n, executor, du, cellular, kept, excluded, in_beacon, cell_du);
+  SizeColumns(rows.size(), executor, du, cellular, kept, excluded, in_beacon, cell_du);
   std::vector<Column> columns = Join(
-      ctx, rows, executor, [&](std::size_t i, const netaddr::Prefix& block, const Origin& origin) {
-        du[i] = *du_src[i];
+      ctx, rows, executor,
+      [&](std::size_t i, const dataset::DemandDataset::Row& row, const Origin& origin) {
+        const auto& [block, block_du] = row;
+        du[i] = block_du;
         const bool is_cellular = refs.classified->IsCellular(block);
         cellular[i] = is_cellular ? 1 : 0;
         kept[i] = origin.kept ? 1 : 0;
@@ -243,7 +229,7 @@ Table BuildDemandTable(const JoinContext& ctx, exec::Executor& executor) {
         // du when this block counts toward a kept AS's cellular demand,
         // else exactly +0.0 — summing it reproduces the conditional
         // accumulation in analysis::CountryDemandReport bit-for-bit.
-        cell_du[i] = origin.kept && is_cellular ? du[i] : 0.0;
+        cell_du[i] = origin.kept && is_cellular ? block_du : 0.0;
       });
   columns.push_back(F64Column("du", std::move(du)));
   columns.push_back(U64Column("cellular", std::move(cellular)));
@@ -256,21 +242,15 @@ Table BuildDemandTable(const JoinContext& ctx, exec::Executor& executor) {
 
 Table BuildClassifiedTable(const JoinContext& ctx, exec::Executor& executor) {
   const ArtifactRefs& refs = *ctx.refs;
-  const std::size_t n = refs.classified->ratios().size();
-  std::vector<const netaddr::Prefix*> rows;
-  std::vector<const double*> ratio_src;
-  rows.reserve(n);
-  ratio_src.reserve(n);
-  for (const auto& [block, r] : refs.classified->ratios()) {
-    rows.push_back(&block);
-    ratio_src.push_back(&r);
-  }
+  const auto rows = refs.classified->ratios();
   std::vector<std::uint64_t> cellular, kept, excluded;
   std::vector<double> ratio, du;
-  SizeColumns(n, executor, ratio, du, cellular, kept, excluded);
+  SizeColumns(rows.size(), executor, ratio, du, cellular, kept, excluded);
   std::vector<Column> columns = Join(
-      ctx, rows, executor, [&](std::size_t i, const netaddr::Prefix& block, const Origin& origin) {
-        ratio[i] = *ratio_src[i];
+      ctx, rows, executor,
+      [&](std::size_t i, const std::pair<netaddr::Prefix, double>& row, const Origin& origin) {
+        const auto& [block, block_ratio] = row;
+        ratio[i] = block_ratio;
         du[i] = refs.demand->DemandOf(block);
         cellular[i] = refs.classified->IsCellular(block) ? 1 : 0;
         kept[i] = origin.kept ? 1 : 0;

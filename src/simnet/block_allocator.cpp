@@ -37,7 +37,6 @@ netaddr::Prefix BlockAllocator::NextV6Block() {
     throw std::runtime_error("BlockAllocator: IPv6 pool exhausted");
   }
   const std::uint64_t index = next_v6_++;
-  ++v6_count_;
   std::array<std::uint8_t, 16> bytes{};
   bytes[0] = 0x24;
   // Bits 12..47 (36 bits) hold the index, MSB first.

@@ -22,13 +22,11 @@ class BlockAllocator {
   [[nodiscard]] netaddr::Prefix NextV6Block();
 
   [[nodiscard]] std::uint64_t v4_allocated() const noexcept { return v4_count_; }
-  [[nodiscard]] std::uint64_t v6_allocated() const noexcept { return v6_count_; }
 
  private:
   std::uint32_t next_v4_ = 0x01000000;  // 1.0.0.0
   std::uint64_t next_v6_ = 0;           // /48 index under 2400::/12
   std::uint64_t v4_count_ = 0;
-  std::uint64_t v6_count_ = 0;
 };
 
 /// True if the /24 starting at `base` (host order, low 8 bits zero) falls

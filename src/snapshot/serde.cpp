@@ -512,27 +512,26 @@ std::vector<Section> EncodeDatasets(const dataset::BeaconDataset& beacons,
   {
     ByteWriter w;
     w.Varint(beacons.block_count());
-    beacons.ForEach(
-        [&](const netaddr::Prefix& block, const dataset::BeaconBlockStats& s) {
-          PutPrefix(w, block);
-          w.Varint(s.hits);
-          w.Varint(s.netinfo_hits);
-          w.Varint(s.cellular_labels);
-          w.Varint(s.wifi_labels);
-          w.Varint(s.ethernet_labels);
-          w.Varint(s.other_labels);
-          w.Varint(s.mobile_browser_hits);
-        });
+    for (const auto& [block, s] : beacons.rows()) {
+      PutPrefix(w, block);
+      w.Varint(s.hits);
+      w.Varint(s.netinfo_hits);
+      w.Varint(s.cellular_labels);
+      w.Varint(s.wifi_labels);
+      w.Varint(s.ethernet_labels);
+      w.Varint(s.other_labels);
+      w.Varint(s.mobile_browser_hits);
+    }
     sections.push_back({std::string(kBeaconBlocksSection), std::move(w).Take()});
   }
 
   {
     ByteWriter w;
     w.Varint(demand.block_count());
-    demand.ForEach([&](const netaddr::Prefix& block, double du) {
+    for (const auto& [block, du] : demand.rows()) {
       PutPrefix(w, block);
       w.F64(du);
-    });
+    }
     // total() is not the float sum of the rows once Normalize() has run
     // (it is pinned to exactly kTotalDemandUnits); store it explicitly.
     w.F64(demand.total());
@@ -679,15 +678,14 @@ std::string ShardSectionName(std::string_view base, std::size_t shard) {
 /// iteration order — a contiguous even split, so concatenating the
 /// shards in index order is exactly the original row order. Each
 /// payload is a varint row count followed by the rows `put` writes.
-template <typename Rows, typename Put>
+template <typename Row, typename Put>
 void AppendShardSections(std::vector<Section>& sections, std::string_view base,
-                         const Rows& rows, std::size_t shard_count, Put&& put) {
-  auto row = rows.begin();
+                         std::span<const Row> rows, std::size_t shard_count, Put&& put) {
   std::size_t begin = 0;
   for (std::size_t k = 0; k < shard_count; ++k) {
     const std::size_t end = (k + 1) * rows.size() / shard_count;
     ByteWriter body;
-    for (std::size_t i = begin; i < end; ++i, ++row) put(body, *row);
+    for (std::size_t i = begin; i < end; ++i) put(body, rows[i]);
     ByteWriter framed;
     framed.Varint(end - begin);
     framed.Bytes(std::move(body).Take());

@@ -75,7 +75,7 @@ void StreamDaemon::Reclassify(Slot& slot) {
   if (slot.cellular != was_cellular) c.cellular.Add(slot.cellular ? 1.0 : -1.0);
 }
 
-void StreamDaemon::Apply(const StreamEvent& event) {
+void StreamDaemon::Apply(const snapshot::StreamEvent& event) {
   auto& c = StreamCounters::Get();
   if (event.subnet >= slots_.size()) {
     ++stats_.bad_subnet;
@@ -84,7 +84,7 @@ void StreamDaemon::Apply(const StreamEvent& event) {
   }
   Slot& slot = slots_[event.subnet];
   std::uint32_t& seq =
-      event.kind == EventKind::kBeacon ? slot.beacon_seq : slot.demand_seq;
+      event.kind == snapshot::EventKind::kBeacon ? slot.beacon_seq : slot.demand_seq;
   if (event.seq == seq) {
     ++stats_.duplicate;
     c.duplicate.Increment();
@@ -96,7 +96,7 @@ void StreamDaemon::Apply(const StreamEvent& event) {
     return;
   }
   seq = event.seq;
-  if (event.kind == EventKind::kBeacon) {
+  if (event.kind == snapshot::EventKind::kBeacon) {
     slot.stats = event.stats;
     Reclassify(slot);
   } else {
@@ -157,7 +157,7 @@ std::size_t StreamDaemon::Tick() {
   std::size_t applied = 0;
   auto& c = StreamCounters::Get();
   for (const std::string& frame : drain_buffer_) {
-    const std::optional<StreamEvent> event = DecodeEventFrame(frame);
+    const std::optional<snapshot::StreamEvent> event = snapshot::DecodeEventFrame(frame);
     if (!event) {
       ++stats_.corrupt;
       c.corrupt.Increment();
@@ -331,9 +331,9 @@ std::vector<core::AsAggregate> StreamDaemon::ExportCandidates(
   // The RIB never changes, so each subnet's origin is resolved once, by
   // the first export and on its executor.
   std::call_once(origins_once_, [&] {
-    std::vector<netaddr::IpAddress> addrs(subnets.size());
-    for (std::size_t i = 0; i < subnets.size(); ++i) addrs[i] = subnets[i].block.address();
-    origins_ = core::ResolveOrigins(world_.rib(), addrs, executor);
+    origins_ = core::ResolveOrigins(
+        world_.rib(), subnets.size(), [&](std::size_t i) { return subnets[i].block.address(); },
+        executor);
   });
 
   // DEMAND normalised as ExportDemand's Add + Normalize do it: by the

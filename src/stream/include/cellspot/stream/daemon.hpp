@@ -32,7 +32,7 @@
 #include "cellspot/simnet/world.hpp"
 #include "cellspot/stream/bounded_queue.hpp"
 #include "cellspot/stream/checkpoint.hpp"
-#include "cellspot/stream/event.hpp"
+#include "cellspot/snapshot/event_frame.hpp"
 #include "cellspot/util/retry.hpp"
 
 namespace cellspot::stream {
@@ -152,7 +152,7 @@ class StreamDaemon {
     bool cellular = false;  // current incremental verdict
   };
 
-  void Apply(const StreamEvent& event);
+  void Apply(const snapshot::StreamEvent& event);
   void Reclassify(Slot& slot);
   void SweepStaleness();
   void MaybeCheckpoint();

@@ -71,11 +71,4 @@ class ConfigError : public std::logic_error {
   explicit ConfigError(const std::string& what) : std::logic_error(what) {}
 };
 
-/// Thrown when a dataset operation is used before the dataset was sealed /
-/// normalised, or on a key that cannot exist.
-class DatasetError : public std::logic_error {
- public:
-  explicit DatasetError(const std::string& what) : std::logic_error(what) {}
-};
-
 }  // namespace cellspot

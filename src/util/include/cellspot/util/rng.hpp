@@ -63,11 +63,6 @@ class Rng {
     return UniformDouble() < p;
   }
 
-  /// Lognormal draw with the given log-space mean and sigma.
-  [[nodiscard]] double LogNormal(double mu, double sigma) {
-    return std::lognormal_distribution<double>(mu, sigma)(engine_);
-  }
-
   /// Poisson draw.
   [[nodiscard]] std::uint64_t Poisson(double mean) {
     if (mean <= 0.0) return 0;

@@ -27,10 +27,7 @@ enum class TableFormat : std::uint8_t {
   kHuman,
 };
 
-/// "csv" / "json" / "human".
-[[nodiscard]] std::string_view TableFormatName(TableFormat f) noexcept;
-
-/// Inverse of TableFormatName; nullopt for anything else.
+/// The format named "csv", "json" or "human"; nullopt for anything else.
 [[nodiscard]] std::optional<TableFormat> ParseTableFormat(std::string_view name) noexcept;
 
 class TableSink {

@@ -15,6 +15,7 @@
 #include <cstdint>
 #include <functional>
 #include <initializer_list>
+#include <span>
 #include <stdexcept>
 #include <utility>
 #include <vector>
@@ -152,6 +153,10 @@ class StableMap {
     index_.reserve(n);
   }
 
+  /// The entries in insertion order, contiguous: entry i is the i-th key
+  /// inserted.
+  [[nodiscard]] std::span<const Entry> entries() const noexcept { return entries_; }
+
   /// Iteration in insertion order. Mutable iteration exposes the key by
   /// reference too; callers must not modify it (the index would go stale).
   [[nodiscard]] auto begin() noexcept { return entries_.begin(); }
@@ -206,6 +211,9 @@ class StableSet {
     entries_.reserve(n);
     index_.reserve(n);
   }
+
+  /// The members in insertion order, contiguous.
+  [[nodiscard]] std::span<const Key> entries() const noexcept { return entries_; }
 
   [[nodiscard]] auto begin() const noexcept { return entries_.begin(); }
   [[nodiscard]] auto end() const noexcept { return entries_.end(); }

@@ -106,15 +106,6 @@ class HumanSink final : public TableSink {
 
 }  // namespace
 
-std::string_view TableFormatName(TableFormat f) noexcept {
-  switch (f) {
-    case TableFormat::kCsv: return "csv";
-    case TableFormat::kJson: return "json";
-    case TableFormat::kHuman: return "human";
-  }
-  return "unknown";
-}
-
 std::optional<TableFormat> ParseTableFormat(std::string_view name) noexcept {
   if (name == "csv") return TableFormat::kCsv;
   if (name == "json") return TableFormat::kJson;

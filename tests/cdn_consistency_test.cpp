@@ -30,9 +30,8 @@ TEST(StreamVsAggregate, FullyStreamedBlocksMatchDataset) {
       150000);
 
   std::size_t compared = 0;
-  streamed.ForEach([&](const netaddr::Prefix& block,
-                       const dataset::BeaconBlockStats& s) {
-    if (block == last_block) return;  // possibly truncated by the cap
+  for (const auto& [block, s] : streamed.rows()) {
+    if (block == last_block) continue;  // possibly truncated by the cap
     const auto* full = aggregate.Find(block);
     ASSERT_NE(full, nullptr) << block.ToString();
     EXPECT_EQ(s.hits, full->hits) << block.ToString();
@@ -40,7 +39,7 @@ TEST(StreamVsAggregate, FullyStreamedBlocksMatchDataset) {
     EXPECT_EQ(s.cellular_labels, full->cellular_labels) << block.ToString();
     EXPECT_EQ(s.wifi_labels, full->wifi_labels) << block.ToString();
     ++compared;
-  });
+  }
   EXPECT_GT(compared, 20u);
 }
 

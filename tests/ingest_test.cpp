@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -296,11 +297,10 @@ TEST(CorruptedIngest, SkipPolicyReproducesCleanClassification) {
   EXPECT_EQ(dirty.total_hits(), clean.total_hits());
   EXPECT_EQ(dirty.total_netinfo_hits(), clean.total_netinfo_hits());
 
-  const auto classify = [](const dataset::BeaconDataset& d) {
-    return core::SubnetClassifier().Classify(d);
-  };
-  EXPECT_EQ(classify(dirty).cellular(), classify(clean).cellular());
-  EXPECT_EQ(classify(dirty).ratios(), classify(clean).ratios());
+  const core::ClassifiedSubnets dirty_classified = core::SubnetClassifier().Classify(dirty);
+  const core::ClassifiedSubnets clean_classified = core::SubnetClassifier().Classify(clean);
+  EXPECT_TRUE(std::ranges::equal(dirty_classified.cellular(), clean_classified.cellular()));
+  EXPECT_TRUE(std::ranges::equal(dirty_classified.ratios(), clean_classified.ratios()));
 }
 
 TEST(CorruptedIngest, QuarantineCollectsExactlyTheRejectedLines) {

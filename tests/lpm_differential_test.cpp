@@ -6,7 +6,7 @@
 // announcement sequences (repeats, re-announcements to another origin,
 // default routes) the routing table must hold exactly the trie's routes
 // in its ForEach order. Also covers the payload round-trip
-// (Encode/Decode/View), the mmap-served snapshot path (ReadSnapshotFile
+// (Encode/View), the mmap-served snapshot path (ReadSnapshotFile
 // + DecodeRibLpm, and the StageCache lpm entry) and a corruption matrix
 // over the lpm snapshot file.
 #include "cellspot/netaddr/flat_lpm.hpp"
@@ -18,6 +18,7 @@
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <memory>
 #include <optional>
 #include <sstream>
 #include <string>
@@ -110,6 +111,13 @@ FlatLpm<T> BuildFrom(const PrefixTrie<T>& trie) {
   return FlatLpm<T>::Build(EntriesOf(trie));
 }
 
+/// Decodes `payload` as a snapshot does: a validating View, here over a
+/// buffer the returned engine keeps alive.
+FlatLpm<std::uint32_t> ViewOf(std::string payload) {
+  auto buffer = std::make_shared<const std::string>(std::move(payload));
+  return FlatLpm<std::uint32_t>::View(*buffer, buffer);
+}
+
 template <typename T>
 void ExpectSameLookups(const PrefixTrie<T>& trie, const FlatLpm<T>& flat,
                        const std::vector<IpAddress>& probes) {
@@ -167,13 +175,13 @@ TEST(FlatLpmDifferential, EmptyTrie) {
   EXPECT_EQ(flat.LongestMatch(IpAddress::Parse("1.2.3.4")), nullptr);
   EXPECT_EQ(flat.LongestMatch(IpAddress::Parse("2001:db8::1")), nullptr);
   // Round-trips through its (valid) empty payload.
-  const auto decoded = FlatLpm<std::uint32_t>::Decode(flat.Encode());
+  const auto decoded = ViewOf(flat.Encode());
   EXPECT_TRUE(decoded.empty());
 
   const FlatLpm<std::uint32_t> default_constructed;
   EXPECT_TRUE(default_constructed.empty());
   EXPECT_EQ(default_constructed.LongestMatch(IpAddress::Parse("1.2.3.4")), nullptr);
-  EXPECT_EQ(FlatLpm<std::uint32_t>::Decode(default_constructed.Encode()).size(), 0u);
+  EXPECT_EQ(ViewOf(default_constructed.Encode()).size(), 0u);
 }
 
 TEST(FlatLpmDifferential, BatchAndChunkedMatchSingleLookups) {
@@ -232,11 +240,8 @@ TEST(FlatLpmDifferential, EncodeDecodeViewRoundTrip) {
     trie.Insert(prefixes[i], static_cast<std::uint32_t>(i + 1));
   }
   const auto flat = BuildFrom(trie);
+  EXPECT_FALSE(flat.is_view());
   const std::string payload = flat.Encode();
-
-  const auto decoded = FlatLpm<std::uint32_t>::Decode(payload);
-  EXPECT_EQ(decoded.Encode(), payload);
-  EXPECT_FALSE(decoded.is_view());
 
   // View over an external buffer, which must stay pinned by keepalive
   // even after the original goes away.
@@ -244,18 +249,20 @@ TEST(FlatLpmDifferential, EncodeDecodeViewRoundTrip) {
   auto view = FlatLpm<std::uint32_t>::View(*buffer, buffer);
   EXPECT_TRUE(view.is_view());
   EXPECT_EQ(view.payload_bytes(), payload.size());
+  EXPECT_EQ(view.Encode(), payload);
   buffer.reset();
 
   const std::vector<IpAddress> probes = ProbeSet(rng, prefixes, 1500);
-  ExpectSameLookups(trie, decoded, probes);
+  ExpectSameLookups(trie, flat, probes);
   ExpectSameLookups(trie, view, probes);
 }
 
-/// True when Decode rejects `bytes` with a FlatLpmError; any other
-/// exception escapes to the test.
+/// True when a View over `bytes` rejects them with a FlatLpmError; any
+/// other exception escapes to the test. `bytes` outlive the call, so no
+/// keepalive is needed.
 bool DecodeRejects(std::string_view bytes) {
   try {
-    (void)FlatLpm<std::uint32_t>::Decode(bytes);
+    (void)FlatLpm<std::uint32_t>::View(bytes, nullptr);
   } catch (const FlatLpmError&) {
     return true;
   }
@@ -298,7 +305,7 @@ TEST(FlatLpmDifferential, DecodeRejectsStructuralDamageWithoutCrashing) {
             34 + n_prefixes * 5 + s4 * 12 + s6 * 36 + 2 * kBucketTableBytes);
 
   // Truncations at every length must throw, never read out of bounds.
-  // Each is rejected from the header alone, before any copy.
+  // Each is rejected from the header alone.
   for (std::size_t len = 0; len < payload.size(); len += 7) {
     EXPECT_TRUE(DecodeRejects(std::string_view(payload).substr(0, len))) << len;
   }
@@ -312,7 +319,7 @@ TEST(FlatLpmDifferential, DecodeRejectsStructuralDamageWithoutCrashing) {
     const auto bit = static_cast<char>(1U << rng.UniformInt(0, 7));
     bent[at] ^= bit;
     try {
-      const auto decoded = FlatLpm<std::uint32_t>::Decode(bent);
+      const auto decoded = FlatLpm<std::uint32_t>::View(bent, nullptr);
       (void)decoded.LongestMatch(IpAddress::Parse("10.1.2.3"));
       (void)decoded.LongestMatch(IpAddress::Parse("2001:db8::1"));
     } catch (const FlatLpmError&) {

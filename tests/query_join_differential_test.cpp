@@ -3,9 +3,11 @@
 // tables, rendered to CSV through query::RenderTable, must match byte for
 // byte at 1, 2 and 8 threads — on the Tiny experiment, on the `cellspot
 // report` shape (no RIB, AS records or filter outcome), and on a world
-// where some blocks are unrouted and some origins have no AsRecord.
+// where some blocks are unrouted and some origins have no AsRecord, and
+// on empty artifacts and one row per table.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -157,6 +159,58 @@ TEST(QueryJoinDifferential, UnroutedBlocksAndRecordlessOrigins) {
             "10.0.1.0/24,v4,64501,,EU,11,8,2,6,0,0,1,0.250000,0.000000,0\n"
             "198.51.100.0/24,v4,0,,,13,8,2,6,0,0,3,0.250000,27586.206897,0\n"
             "2001:db8::/48,v6,64503,DE,EU,14,8,6,2,0,0,4,0.750000,0.000000,1\n");
+}
+
+TEST(QueryJoinDifferential, EmptyArtifacts) {
+  const asdb::RoutingTable rib({{netaddr::Prefix::Parse("10.0.0.0/8"), 64500}});
+  const dataset::BeaconDataset beacons;
+  const dataset::DemandDataset demand;
+  const core::ClassifiedSubnets classified;
+  ArtifactRefs refs;
+  refs.beacons = &beacons;
+  refs.demand = &demand;
+  refs.classified = &classified;
+  ExpectMatchesReference(refs);  // no RIB
+  refs.rib = &rib;
+  ExpectMatchesReference(refs);
+  exec::Executor executor(2);
+  const TableSet tables = BuildTables(refs, executor);
+  for (const char* name : {"beacon", "demand", "classified"}) {
+    EXPECT_EQ(tables.Find(name).row_count(), 0u) << name;
+  }
+}
+
+TEST(QueryJoinDifferential, OneRowPerTable) {
+  asdb::AsDatabase as_db;
+  as_db.Upsert({.asn = 64500, .name = "A", .country_iso = "DE",
+                .continent = geo::Continent::kEurope});
+  const asdb::RoutingTable rib({{netaddr::Prefix::Parse("10.0.0.0/8"), 64500}});
+  const netaddr::Prefix block = netaddr::Prefix::Parse("10.1.2.0/24");
+  dataset::BeaconDataset beacons;
+  beacons.Add(block, {.hits = 9, .netinfo_hits = 4, .cellular_labels = 3, .wifi_labels = 1});
+  dataset::DemandDataset demand;
+  demand.Add(block, 2.5);
+  const core::ClassifiedSubnets classified = core::SubnetClassifier().Classify(beacons);
+  ASSERT_EQ(classified.ratios().size(), 1u);
+  core::AsFilterOutcome filtered;
+  filtered.kept.emplace_back().asn = 64500;
+
+  ArtifactRefs refs;
+  refs.rib = &rib;
+  refs.as_db = &as_db;
+  refs.beacons = &beacons;
+  refs.demand = &demand;
+  refs.classified = &classified;
+  refs.filtered = &filtered;
+  ExpectMatchesReference(refs);
+  exec::Executor executor(8);
+  const TableSet tables = BuildTables(refs, executor);
+  for (const char* name : {"beacon", "demand", "classified"}) {
+    const Table& table = tables.Find(name);
+    ASSERT_EQ(table.row_count(), 1u) << name;
+    EXPECT_EQ(table.FindColumn("asn")->u64, std::vector<std::uint64_t>{64500}) << name;
+    EXPECT_EQ(table.FindColumn("block")->prefix, std::vector<netaddr::Prefix>{block}) << name;
+  }
 }
 
 }  // namespace

@@ -4,11 +4,14 @@
 // support/sequential_aggregation.hpp — plus the deterministic shard
 // key, the span/gauge telemetry, the per-shard classified snapshot
 // sections (round trip, parallel mapped decode, corruption and retired
-// layouts quarantined + rebuilt) and the stream daemon's export path.
+// layouts quarantined + rebuilt), the stream daemon's export path, and
+// the positional consumers (classifier, dataset builder, ResolveOrigins)
+// on empty and one-row inputs.
 #include "cellspot/core/sharded_aggregation.hpp"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cstdint>
 #include <filesystem>
@@ -26,11 +29,11 @@
 #include "cellspot/faultsim/stream_corruptor.hpp"
 #include "cellspot/obs/metrics.hpp"
 #include "cellspot/obs/trace.hpp"
+#include "cellspot/snapshot/event_frame.hpp"
 #include "cellspot/snapshot/serde.hpp"
 #include "cellspot/snapshot/snapshot.hpp"
 #include "cellspot/snapshot/stage_cache.hpp"
 #include "cellspot/stream/daemon.hpp"
-#include "cellspot/stream/event.hpp"
 #include "support/sequential_aggregation.hpp"
 
 namespace cellspot {
@@ -201,8 +204,9 @@ TEST(ClassifiedShardedSnapshot, RoundTripsAtSeveralShardCounts) {
     EXPECT_TRUE(has_manifest) << k << " shards";
 
     const core::ClassifiedSubnets decoded = snapshot::DecodeClassified(Image(sections));
-    EXPECT_EQ(decoded.ratios(), classified.ratios()) << k << " shards";
-    EXPECT_EQ(decoded.cellular(), classified.cellular()) << k << " shards";
+    EXPECT_TRUE(std::ranges::equal(decoded.ratios(), classified.ratios())) << k << " shards";
+    EXPECT_TRUE(std::ranges::equal(decoded.cellular(), classified.cellular()))
+        << k << " shards";
     // Ordered concatenation preserved insertion order, so re-encoding
     // in the stored layout is byte-identical.
     EXPECT_EQ(snapshot::EncodeSnapshot(snapshot::EncodeClassified(decoded)), canonical)
@@ -255,8 +259,8 @@ TEST(ClassifiedShardedSnapshot, TwoSectionLayoutIsRejectedAndRebuilt) {
   cache.StoreClassified(config, {}, exp.classified);
   auto reloaded = cache.TryLoadClassified(config, {}, &ex);
   ASSERT_TRUE(reloaded.has_value());
-  EXPECT_EQ(reloaded->ratios(), exp.classified.ratios());
-  EXPECT_EQ(reloaded->cellular(), exp.classified.cellular());
+  EXPECT_TRUE(std::ranges::equal(reloaded->ratios(), exp.classified.ratios()));
+  EXPECT_TRUE(std::ranges::equal(reloaded->cellular(), exp.classified.cellular()));
 }
 
 TEST(ClassifiedShardedSnapshot, MappedDecodeMatchesWithAndWithoutExecutor) {
@@ -269,10 +273,10 @@ TEST(ClassifiedShardedSnapshot, MappedDecodeMatchesWithAndWithoutExecutor) {
   exec::Executor ex(4);
   const core::ClassifiedSubnets parallel = snapshot::DecodeClassified(image, &ex);
   const core::ClassifiedSubnets sequential = snapshot::DecodeClassified(image);
-  EXPECT_EQ(parallel.ratios(), classified.ratios());
-  EXPECT_EQ(parallel.cellular(), classified.cellular());
-  EXPECT_EQ(sequential.ratios(), classified.ratios());
-  EXPECT_EQ(sequential.cellular(), classified.cellular());
+  EXPECT_TRUE(std::ranges::equal(parallel.ratios(), classified.ratios()));
+  EXPECT_TRUE(std::ranges::equal(parallel.cellular(), classified.cellular()));
+  EXPECT_TRUE(std::ranges::equal(sequential.ratios(), classified.ratios()));
+  EXPECT_TRUE(std::ranges::equal(sequential.cellular(), classified.cellular()));
 }
 
 TEST(ClassifiedShardedSnapshot, GarbledShardSectionIsRejectedNotCrashed) {
@@ -359,8 +363,8 @@ TEST(ClassifiedShardedCache, CorruptedShardSectionQuarantinesAndRebuilds) {
     cache.StoreClassified(config, {}, exp.classified);
     auto reloaded = cache.TryLoadClassified(config, {}, &ex);
     ASSERT_TRUE(reloaded.has_value()) << "seed " << seed;
-    EXPECT_EQ(reloaded->ratios(), exp.classified.ratios());
-    EXPECT_EQ(reloaded->cellular(), exp.classified.cellular());
+    EXPECT_TRUE(std::ranges::equal(reloaded->ratios(), exp.classified.ratios()));
+    EXPECT_TRUE(std::ranges::equal(reloaded->cellular(), exp.classified.cellular()));
   }
 }
 
@@ -374,8 +378,8 @@ const simnet::World& TinyWorld() {
 
 std::string BeaconFrame(std::uint32_t subnet, std::uint32_t seq, std::uint64_t netinfo,
                         std::uint64_t cellular) {
-  stream::StreamEvent e;
-  e.kind = stream::EventKind::kBeacon;
+  snapshot::StreamEvent e;
+  e.kind = snapshot::EventKind::kBeacon;
   e.subnet = subnet;
   e.seq = seq;
   e.stats.hits = netinfo * 2;
@@ -383,16 +387,16 @@ std::string BeaconFrame(std::uint32_t subnet, std::uint32_t seq, std::uint64_t n
   e.stats.cellular_labels = cellular;
   e.stats.wifi_labels = netinfo - cellular;
   e.stats.mobile_browser_hits = netinfo;
-  return stream::EncodeEventFrame(e);
+  return snapshot::EncodeEventFrame(e);
 }
 
 std::string DemandFrame(std::uint32_t subnet, std::uint32_t seq, double raw) {
-  stream::StreamEvent e;
-  e.kind = stream::EventKind::kDemand;
+  snapshot::StreamEvent e;
+  e.kind = snapshot::EventKind::kDemand;
   e.subnet = subnet;
   e.seq = seq;
   e.demand_raw = raw;
-  return stream::EncodeEventFrame(e);
+  return snapshot::EncodeEventFrame(e);
 }
 
 /// Feed frames through the daemon with manual ticks, draining before
@@ -574,6 +578,158 @@ TEST(StreamDaemonAggregation, ExportCandidatesMatchesWithAllZeroDemand) {
   EXPECT_EQ(want[0].demand_blocks, 3u);
   EXPECT_EQ(Bits(want[0].total_demand_du), Bits(0.0));
   EXPECT_EQ(Bits(want[0].cell_demand_du), Bits(0.0));
+}
+
+// Positional consumers at the edges: empty and one-row datasets, and
+// the one batch origin lookup.
+
+// Row spans cannot be taken from a temporary: the span would outlive
+// the rows (a range-for over `Generate().rows()` reads freed memory).
+template <typename T>
+concept RowsOnTemporary = requires { std::declval<T>().rows(); };
+template <typename T>
+concept ClassifiedOnTemporary = requires { std::declval<T>().ratios(); } ||
+                                requires { std::declval<T>().cellular(); };
+static_assert(!RowsOnTemporary<dataset::BeaconDataset>);
+static_assert(!RowsOnTemporary<dataset::DemandDataset>);
+static_assert(!RowsOnTemporary<const dataset::BeaconDataset>);
+static_assert(!ClassifiedOnTemporary<core::ClassifiedSubnets>);
+static_assert(!ClassifiedOnTemporary<const core::ClassifiedSubnets>);
+static_assert(RowsOnTemporary<const dataset::BeaconDataset&>);
+static_assert(RowsOnTemporary<dataset::DemandDataset&>);
+static_assert(ClassifiedOnTemporary<const core::ClassifiedSubnets&>);
+
+constexpr unsigned kEdgeThreads[] = {1, 2, 8};
+
+/// A RIB with one v4 and one v6 origin; 192.0.2.0/24 stays unrouted.
+const asdb::RoutingTable& EdgeRib() {
+  static const asdb::RoutingTable rib({{netaddr::Prefix::Parse("10.0.0.0/8"), 64500},
+                                       {netaddr::Prefix::Parse("2001:db8::/32"), 64501}});
+  return rib;
+}
+
+/// The sharded engine at 1, 2 and 8 threads and 1 and 8 shards against
+/// the sequential reference; returns the reference.
+std::vector<core::AsAggregate> ExpectAggregationMatchesReference(
+    const core::ClassifiedSubnets& classified, const dataset::BeaconDataset& beacons,
+    const dataset::DemandDataset& demand, const std::string& label) {
+  exec::Executor ref_ex(1);
+  const std::vector<core::AsAggregate> want = test_support::AggregateCandidateAsesSequential(
+      EdgeRib(), classified, beacons, demand, ref_ex);
+  for (const unsigned threads : kEdgeThreads) {
+    for (const std::size_t shards : {std::size_t{1}, std::size_t{8}}) {
+      exec::Executor ex(threads);
+      ExpectBitIdentical(
+          core::AggregateCandidateAsesSharded(EdgeRib(), classified, beacons, demand, ex,
+                                              {.shards = shards}),
+          want, label + " threads=" + std::to_string(threads));
+    }
+  }
+  return want;
+}
+
+TEST(PositionalConsumers, ClassifyEmptyDataset) {
+  const dataset::BeaconDataset beacons;
+  for (const unsigned threads : kEdgeThreads) {
+    exec::Executor ex(threads);
+    const core::ClassifiedSubnets classified = core::SubnetClassifier().Classify(beacons, ex);
+    EXPECT_TRUE(classified.ratios().empty()) << threads;
+    EXPECT_TRUE(classified.cellular().empty()) << threads;
+  }
+}
+
+TEST(PositionalConsumers, ClassifyOneRowDataset) {
+  const netaddr::Prefix block = netaddr::Prefix::Parse("10.1.2.0/24");
+  dataset::BeaconDataset beacons;
+  beacons.Add(block, {.hits = 9, .netinfo_hits = 4, .cellular_labels = 3, .wifi_labels = 1});
+  for (const unsigned threads : kEdgeThreads) {
+    exec::Executor ex(threads);
+    const core::ClassifiedSubnets classified = core::SubnetClassifier().Classify(beacons, ex);
+    ASSERT_EQ(classified.ratios().size(), 1u) << threads;
+    EXPECT_EQ(classified.ratios()[0].first, block);
+    EXPECT_EQ(Bits(classified.ratios()[0].second), Bits(0.75));
+    ASSERT_EQ(classified.cellular().size(), 1u) << threads;
+    EXPECT_EQ(classified.cellular()[0], block);
+  }
+  // Below min_netinfo_hits the one row is unobserved.
+  exec::Executor ex(2);
+  const core::ClassifiedSubnets strict =
+      core::SubnetClassifier({.min_netinfo_hits = 5}).Classify(beacons, ex);
+  EXPECT_TRUE(strict.ratios().empty());
+  EXPECT_TRUE(strict.cellular().empty());
+}
+
+TEST(PositionalConsumers, AggregateEmptyDatasets) {
+  const dataset::BeaconDataset beacons;
+  const dataset::DemandDataset demand;
+  const core::ClassifiedSubnets classified;
+  EXPECT_TRUE(ExpectAggregationMatchesReference(classified, beacons, demand, "empty").empty());
+}
+
+TEST(PositionalConsumers, AggregateOneBeaconRowWithoutDemand) {
+  dataset::BeaconDataset beacons;
+  beacons.Add(netaddr::Prefix::Parse("10.1.2.0/24"),
+              {.hits = 7, .netinfo_hits = 4, .cellular_labels = 4});
+  const dataset::DemandDataset demand;
+  const core::ClassifiedSubnets classified = core::SubnetClassifier().Classify(beacons);
+  const auto want = ExpectAggregationMatchesReference(classified, beacons, demand, "one row");
+  ASSERT_EQ(want.size(), 1u);
+  EXPECT_EQ(want[0].asn, 64500u);
+  EXPECT_EQ(want[0].cell_blocks_v4, 1u);
+  EXPECT_EQ(want[0].beacon_hits, 7u);
+  EXPECT_EQ(want[0].demand_blocks, 0u);
+  EXPECT_EQ(Bits(want[0].cell_demand_du), Bits(0.0));
+}
+
+TEST(PositionalConsumers, AggregateDemandOnlyRows) {
+  dataset::DemandDataset demand;
+  demand.Add(netaddr::Prefix::Parse("10.9.9.0/24"), 3.0);
+  demand.Add(netaddr::Prefix::Parse("192.0.2.0/24"), 1.0);  // unrouted
+  demand.Add(netaddr::Prefix::Parse("2001:db8:1::/48"), 2.0);
+  demand.Add(netaddr::Prefix::Parse("10.9.8.0/24"), 0.25);
+  const core::ClassifiedSubnets none;
+  // No beacons: no cellular block, so no candidate.
+  EXPECT_TRUE(
+      ExpectAggregationMatchesReference(none, {}, demand, "demand only").empty());
+
+  // One cellular beacon block in 64500: its demand-only blocks count
+  // toward its total, the unrouted and v6 ones do not.
+  dataset::BeaconDataset beacons;
+  beacons.Add(netaddr::Prefix::Parse("10.1.2.0/24"),
+              {.hits = 5, .netinfo_hits = 2, .cellular_labels = 2});
+  const core::ClassifiedSubnets classified = core::SubnetClassifier().Classify(beacons);
+  const auto want =
+      ExpectAggregationMatchesReference(classified, beacons, demand, "demand-only rows");
+  ASSERT_EQ(want.size(), 1u);
+  EXPECT_EQ(want[0].demand_blocks, 2u);
+  EXPECT_EQ(Bits(want[0].total_demand_du), Bits(3.25));
+}
+
+TEST(PositionalConsumers, ResolveOriginsMatchesOriginOfOnEveryRow) {
+  const simnet::World& world = TinyExperiment().world;
+  const auto subnets = world.subnets();
+  ASSERT_FALSE(subnets.empty());
+  // Routed subnet blocks alternate with unrouted addresses, so a row
+  // resolved from its neighbour's address reads the wrong origin.
+  const auto address_of = [&](std::size_t i) {
+    return i % 2 == 0 ? subnets[(i / 2) % subnets.size()].block.address()
+                      : netaddr::IpAddress::Parse("0.0.0." + std::to_string(i % 256));
+  };
+  for (const std::size_t n : {std::size_t{0}, std::size_t{1}, 2 * core::kResolveGrain + 1}) {
+    for (const unsigned threads : kEdgeThreads) {
+      exec::Executor ex(threads);
+      const std::vector<asdb::AsNumber> origins =
+          core::ResolveOrigins(world.rib(), n, address_of, ex);
+      ASSERT_EQ(origins.size(), n);
+      for (std::size_t i = 0; i < n; ++i) {
+        ASSERT_EQ(origins[i], world.rib().OriginOf(address_of(i)).value_or(0))
+            << "row " << i << " of " << n << " at " << threads << " threads";
+      }
+      if (n > 0) {
+        EXPECT_NE(origins[0], 0u);
+      }
+    }
+  }
 }
 
 }  // namespace

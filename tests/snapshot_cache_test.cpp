@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <atomic>
 #include <cstdint>
@@ -123,9 +124,10 @@ TEST(StageCachePipeline, WarmRunSkipsCachedStagesByteIdentically) {
   EXPECT_TRUE(HasPipelineSpan("filter"));
 
   EXPECT_EQ(Exports(warm.experiment()), Exports(cold.experiment()));
-  EXPECT_EQ(warm.experiment().classified.ratios(), cold.experiment().classified.ratios());
-  EXPECT_EQ(warm.experiment().classified.cellular(),
-            cold.experiment().classified.cellular());
+  EXPECT_TRUE(std::ranges::equal(warm.experiment().classified.ratios(),
+                                 cold.experiment().classified.ratios()));
+  EXPECT_TRUE(std::ranges::equal(warm.experiment().classified.cellular(),
+                                 cold.experiment().classified.cellular()));
   EXPECT_EQ(warm.experiment().filtered.kept.size(), cold.experiment().filtered.kept.size());
 }
 
@@ -223,8 +225,8 @@ TEST(StageCachePipeline, EntriesUnderAKeyWithoutTheRngStreamAreNeverOpened) {
   Pipeline cold({.world = tiny});
   cold.Run();
   EXPECT_EQ(Exports(pipeline.experiment()), Exports(cold.experiment()));
-  EXPECT_EQ(pipeline.experiment().classified.cellular(),
-            cold.experiment().classified.cellular());
+  EXPECT_TRUE(std::ranges::equal(pipeline.experiment().classified.cellular(),
+                                 cold.experiment().classified.cellular()));
   EXPECT_EQ(pipeline.experiment().filtered.kept.size(),
             cold.experiment().filtered.kept.size());
 }

@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 #include <sys/stat.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <filesystem>
 #include <functional>
@@ -302,8 +303,8 @@ TEST_P(SnapshotRoundtrip, SaveLoadReencodeIsByteIdentical) {
   const std::string cls_image = EncodeSnapshot(EncodeClassified(a.classified));
   const core::ClassifiedSubnets classified2 = DecodeClassified(DecodeSnapshot(cls_image));
   EXPECT_EQ(EncodeSnapshot(EncodeClassified(classified2)), cls_image);
-  EXPECT_EQ(classified2.ratios(), a.classified.ratios());
-  EXPECT_EQ(classified2.cellular(), a.classified.cellular());
+  EXPECT_TRUE(std::ranges::equal(classified2.ratios(), a.classified.ratios()));
+  EXPECT_TRUE(std::ranges::equal(classified2.cellular(), a.classified.cellular()));
 
   // Config alone roundtrips through its canonical encoding.
   const std::string cfg = EncodeWorldConfig(a.world.config());

@@ -16,15 +16,18 @@
 #include "cellspot/obs/metrics.hpp"
 #include "cellspot/simnet/world.hpp"
 #include "cellspot/snapshot/binary_io.hpp"
+#include "cellspot/snapshot/event_frame.hpp"
 #include "cellspot/snapshot/serde.hpp"
 #include "cellspot/snapshot/snapshot.hpp"
 #include "cellspot/snapshot/stage_cache.hpp"
-#include "cellspot/stream/event.hpp"
 
 namespace cellspot::stream {
 namespace {
 
 namespace fs = std::filesystem;
+using snapshot::EncodeEventFrame;
+using snapshot::EventKind;
+using snapshot::StreamEvent;
 
 fs::path FreshDir(const std::string& name) {
   const fs::path dir = fs::path(::testing::TempDir()) / name;

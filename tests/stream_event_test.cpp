@@ -1,4 +1,4 @@
-#include "cellspot/stream/event.hpp"
+#include "cellspot/snapshot/event_frame.hpp"
 
 #include <gtest/gtest.h>
 
@@ -6,7 +6,7 @@
 #include <limits>
 #include <string>
 
-namespace cellspot::stream {
+namespace cellspot::snapshot {
 namespace {
 
 StreamEvent BeaconEvent() {
@@ -146,4 +146,4 @@ TEST(StreamEvent, RejectsUnknownKind) {
 }
 
 }  // namespace
-}  // namespace cellspot::stream
+}  // namespace cellspot::snapshot

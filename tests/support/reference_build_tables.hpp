@@ -128,12 +128,11 @@ inline void AppendJoined(query::TableBuilder& b, const JoinedRow& row, const Joi
 
 inline query::Table BeaconTable(const JoinContext& ctx, exec::Executor& executor) {
   std::vector<netaddr::Prefix> blocks;
-  std::vector<const dataset::BeaconBlockStats*> stats;
-  ctx.refs->beacons->ForEach(
-      [&](const netaddr::Prefix& block, const dataset::BeaconBlockStats& s) {
-        blocks.push_back(block);
-        stats.push_back(&s);
-      });
+  std::vector<dataset::BeaconBlockStats> stats;
+  for (const auto& [block, s] : ctx.refs->beacons->rows()) {
+    blocks.push_back(block);
+    stats.push_back(s);
+  }
   const std::vector<JoinedRow> rows = JoinAll(ctx, blocks, executor);
 
   query::TableBuilder b;
@@ -150,7 +149,7 @@ inline query::Table BeaconTable(const JoinContext& ctx, exec::Executor& executor
   const std::size_t c_cellular = b.AddColumn("cellular", query::ColumnType::kU64);
   for (std::size_t i = 0; i < rows.size(); ++i) {
     const JoinedRow& row = rows[i];
-    const dataset::BeaconBlockStats& s = *stats[i];
+    const dataset::BeaconBlockStats& s = stats[i];
     AppendJoined(b, row, join);
     b.AppendU64(c_hits, s.hits);
     b.AppendU64(c_netinfo, s.netinfo_hits);
@@ -169,10 +168,10 @@ inline query::Table BeaconTable(const JoinContext& ctx, exec::Executor& executor
 inline query::Table DemandTable(const JoinContext& ctx, exec::Executor& executor) {
   std::vector<netaddr::Prefix> blocks;
   std::vector<double> dus;
-  ctx.refs->demand->ForEach([&](const netaddr::Prefix& block, double du) {
+  for (const auto& [block, du] : ctx.refs->demand->rows()) {
     blocks.push_back(block);
     dus.push_back(du);
-  });
+  }
   const std::vector<JoinedRow> rows = JoinAll(ctx, blocks, executor);
 
   query::TableBuilder b;

@@ -35,19 +35,12 @@ inline std::vector<core::AsAggregate> AggregateCandidateAsesSequential(
     const asdb::RoutingTable& rib, const core::ClassifiedSubnets& classified,
     const dataset::BeaconDataset& beacons, const dataset::DemandDataset& demand,
     exec::Executor& executor) {
-  std::vector<std::pair<const netaddr::Prefix*, const dataset::BeaconBlockStats*>>
-      beacon_rows;
+  const auto beacon_rows = beacons.rows();
+  const auto demand_rows = demand.rows();
   std::vector<netaddr::IpAddress> beacon_addrs;
-  beacons.ForEach([&](const netaddr::Prefix& block, const dataset::BeaconBlockStats& stats) {
-    beacon_rows.emplace_back(&block, &stats);
-    beacon_addrs.push_back(block.address());
-  });
-  std::vector<std::pair<const netaddr::Prefix*, double>> demand_rows;
+  for (const auto& row : beacon_rows) beacon_addrs.push_back(row.first.address());
   std::vector<netaddr::IpAddress> demand_addrs;
-  demand.ForEach([&](const netaddr::Prefix& block, double du) {
-    demand_rows.emplace_back(&block, du);
-    demand_addrs.push_back(block.address());
-  });
+  for (const auto& row : demand_rows) demand_addrs.push_back(row.first.address());
   const auto beacon_origins = ResolveOrigins(rib, beacon_addrs, executor);
   const auto demand_origins = ResolveOrigins(rib, demand_addrs, executor);
 
@@ -63,9 +56,9 @@ inline std::vector<core::AsAggregate> AggregateCandidateAsesSequential(
   // Beacon-side aggregation: observed blocks, hits, cellular detections.
   for (std::size_t i = 0; i < beacon_rows.size(); ++i) {
     if (beacon_origins[i] == 0) continue;
-    const netaddr::Prefix& block = *beacon_rows[i].first;
+    const auto& [block, stats] = beacon_rows[i];
     core::AsAggregate& agg = slot(beacon_origins[i]);
-    agg.beacon_hits += beacon_rows[i].second->hits;
+    agg.beacon_hits += stats.hits;
     if (classified.RatioOf(block) != nullptr) {
       if (block.family() == netaddr::Family::kIpv4) ++agg.observed_blocks_v4;
       else ++agg.observed_blocks_v6;

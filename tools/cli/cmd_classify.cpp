@@ -41,12 +41,12 @@ int CmdClassify(const Options& opts) {
   if (!target) return kExitError;
   auto sink = target->MakeSink("classified blocks");
   sink->Begin({"block", "ratio", "netinfo_hits", "cellular"});
-  beacons->ForEach([&](const netaddr::Prefix& block, const dataset::BeaconBlockStats& s) {
-    if (s.netinfo_hits < config.min_netinfo_hits) return;
+  for (const auto& [block, s] : beacons->rows()) {
+    if (s.netinfo_hits < config.min_netinfo_hits) continue;
     sink->Row({block.ToString(), util::FormatDouble(s.CellularRatio(), 4),
                std::to_string(s.netinfo_hits),
                classified.IsCellular(block) ? "1" : "0"});
-  });
+  }
   sink->End();
   std::fprintf(stderr, "classified %zu blocks, %zu cellular (threshold %.2f)\n",
                classified.ratios().size(), classified.cellular().size(),

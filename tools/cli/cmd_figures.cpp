@@ -1,7 +1,5 @@
 // figures: run the full pipeline and export every paper figure series.
 #include <cstdio>
-#include <filesystem>
-#include <system_error>
 #include <utility>
 
 #include "cellspot/analysis/export.hpp"
@@ -16,18 +14,8 @@
 namespace cellspot::cli {
 
 int CmdFigures(const Options& opts) {
-  const auto dir = opts.Get("out");
-  if (!dir || dir->empty()) {
-    std::fprintf(stderr, "figures: missing --out DIR (must exist)\n");
-    return kExitUsage;
-  }
-  // Checked before the pipeline runs: a bad --out must not cost a run
-  // or fill the snapshot cache.
-  std::error_code ec;
-  if (!std::filesystem::is_directory(*dir, ec)) {
-    std::fprintf(stderr, "figures: --out %s is not an existing directory\n", dir->c_str());
-    return kExitUsage;
-  }
+  const auto dir = OutputDir(opts, "figures");
+  if (!dir) return kExitUsage;
   util::TableFormat format = util::TableFormat::kCsv;
   if (const auto name = opts.Get("format"); name && !name->empty()) {
     const auto parsed = util::ParseTableFormat(*name);

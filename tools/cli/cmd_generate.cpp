@@ -16,11 +16,8 @@
 namespace cellspot::cli {
 
 int CmdGenerate(const Options& opts) {
-  const auto dir = opts.Get("out");
-  if (!dir || dir->empty()) {
-    std::fprintf(stderr, "generate: missing --out DIR (must exist)\n");
-    return kExitUsage;
-  }
+  const auto dir = OutputDir(opts, "generate");
+  if (!dir) return kExitUsage;
   simnet::WorldConfig config =
       opts.Has("tiny") ? simnet::WorldConfig::Tiny()
                        : simnet::WorldConfig::Paper(opts.GetDouble("scale", 0.01));

@@ -1,5 +1,7 @@
 #include "cli/ingest.hpp"
 
+#include <filesystem>
+#include <system_error>
 #include <utility>
 
 #include "cellspot/analysis/pipeline.hpp"
@@ -87,6 +89,20 @@ std::optional<PipelineInputs> LoadInputs(const Options& opts) {
 
 std::string SnapshotDir(const Options& opts) {
   return opts.GetOr("snapshot-dir", analysis::SnapshotDirFromEnv());
+}
+
+std::optional<std::string> OutputDir(const Options& opts, const char* command) {
+  const auto dir = opts.Get("out");
+  if (!dir || dir->empty()) {
+    std::fprintf(stderr, "%s: missing --out DIR (must exist)\n", command);
+    return std::nullopt;
+  }
+  std::error_code ec;
+  if (!std::filesystem::is_directory(*dir, ec)) {
+    std::fprintf(stderr, "%s: --out %s is not an existing directory\n", command, dir->c_str());
+    return std::nullopt;
+  }
+  return dir;
 }
 
 }  // namespace cellspot::cli

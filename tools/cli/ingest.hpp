@@ -76,4 +76,11 @@ std::optional<PipelineInputs> LoadInputs(const Options& opts);
 /// --snapshot-dir wins, else CELLSPOT_SNAPSHOT_DIR, else "" (off).
 std::string SnapshotDir(const Options& opts);
 
+/// The directory --out names, for the commands that write their files
+/// into it (generate, figures). nullopt, after printing why, when the
+/// flag is missing or names no existing directory: the caller exits
+/// kExitUsage before any work, so a bad --out costs no run and leaves
+/// the snapshot cache untouched.
+std::optional<std::string> OutputDir(const Options& opts, const char* command);
+
 }  // namespace cellspot::cli
