@@ -5,6 +5,7 @@
 
 #include "cellspot/cdn/netinfo_series.hpp"
 #include "cellspot/core/validation.hpp"
+#include "cellspot/obs/trace.hpp"
 #include "cellspot/util/strings.hpp"
 
 namespace cellspot::analysis {
@@ -50,9 +51,10 @@ void WriteFig1Csv(std::ostream& out, util::TableFormat format) {
   sink->End();
 }
 
-void WriteFig2Csv(const Experiment& exp, std::ostream& out, util::TableFormat format) {
+void WriteFig2Csv(const Experiment& exp, std::ostream& out, util::TableFormat format,
+                  exec::Executor& executor) {
   auto sink = Open(out, format, "Fig 2: cellular-ratio CDF", {"series", "ratio", "cdf"});
-  const auto r = RatioCdfReport(exp);
+  const auto r = RatioCdfReport(exp, executor);
   WriteCdfPoints(*sink, "v4_subnets", r.v4_subnets);
   WriteCdfPoints(*sink, "v6_subnets", r.v6_subnets);
   WriteCdfPoints(*sink, "v4_demand", r.v4_demand);
@@ -94,13 +96,14 @@ void WriteFig5Csv(const Experiment& exp, std::ostream& out, util::TableFormat fo
   sink->End();
 }
 
-void WriteFig6Csv(const Experiment& exp, std::ostream& out, util::TableFormat format) {
+void WriteFig6Csv(const Experiment& exp, std::ostream& out, util::TableFormat format,
+                  exec::Executor& executor) {
   auto sink = Open(out, format, "Fig 6: operator breakdown",
                    {"carrier", "ratio", "demand_du"});
   for (char label : {'B', 'A'}) {  // (a) dedicated US, (b) mixed EU
     const simnet::OperatorInfo* op = FindCarrier(exp, label);
     if (op == nullptr) continue;
-    for (const OperatorBlockPoint& p : OperatorRatioBreakdown(exp, op->asn)) {
+    for (const OperatorBlockPoint& p : OperatorRatioBreakdown(exp, op->asn, executor)) {
       sink->Row({std::string(1, label), Fmt(p.ratio), Fmt(p.demand_du)});
     }
   }
@@ -119,7 +122,8 @@ void WriteFig7Csv(const Experiment& exp, std::ostream& out, util::TableFormat fo
   sink->End();
 }
 
-void WriteFig8Csv(const Experiment& exp, std::ostream& out, util::TableFormat format) {
+void WriteFig8Csv(const Experiment& exp, std::ostream& out, util::TableFormat format,
+                  exec::Executor& executor) {
   auto sink = Open(out, format, "Fig 8: subnet concentration",
                    {"series", "rank", "demand_du"});
   const simnet::OperatorInfo* op = FindCarrier(exp, 'A');
@@ -127,7 +131,7 @@ void WriteFig8Csv(const Experiment& exp, std::ostream& out, util::TableFormat fo
     sink->End();
     return;
   }
-  const auto conc = SubnetConcentrationReport(exp, op->asn);
+  const auto conc = SubnetConcentrationReport(exp, op->asn, executor);
   for (std::size_t i = 0; i < conc.cellular_demands.size(); ++i) {
     sink->Row({"cellular", std::to_string(i + 1), Fmt(conc.cellular_demands[i])});
   }
@@ -158,11 +162,12 @@ void WriteFig10Csv(const Experiment& exp, const dns::DnsSimulator& dns, std::ost
   sink->End();
 }
 
-void WriteCountryCsv(const Experiment& exp, std::ostream& out, util::TableFormat format) {
+void WriteCountryCsv(const Experiment& exp, std::ostream& out, util::TableFormat format,
+                     exec::Executor& executor) {
   auto sink = Open(out, format, "Fig 11/12: country demand",
                    {"iso", "continent", "cell_du", "total_du", "cell_fraction",
                     "excluded"});
-  for (const CountryDemand& cd : CountryDemandReport(exp)) {
+  for (const CountryDemand& cd : CountryDemandReport(exp, executor)) {
     sink->Row({cd.iso, std::string(geo::ContinentCode(cd.continent)), Fmt(cd.cell_du),
                Fmt(cd.total_du), Fmt(cd.CellFraction()), cd.excluded ? "1" : "0"});
   }
@@ -172,7 +177,9 @@ void WriteCountryCsv(const Experiment& exp, std::ostream& out, util::TableFormat
 std::vector<std::string> ExportAllFigures(const Experiment& exp,
                                           const dns::DnsSimulator& dns,
                                           const std::string& dir,
-                                          util::TableFormat format) {
+                                          util::TableFormat format,
+                                          exec::Executor& executor) {
+  obs::TraceSpan span("analysis.export");
   const char* ext = format == util::TableFormat::kCsv    ? ".csv"
                     : format == util::TableFormat::kJson ? ".json"
                                                          : ".txt";
@@ -183,22 +190,23 @@ std::vector<std::string> ExportAllFigures(const Experiment& exp,
     if (!out) throw std::runtime_error("ExportAllFigures: cannot write " + path);
     writer_fn(out);
     written.push_back(path);
+    span.AddItems(1);
   };
   save("fig01_netinfo_adoption", [&](std::ostream& o) { WriteFig1Csv(o, format); });
-  save("fig02_ratio_cdf", [&](std::ostream& o) { WriteFig2Csv(exp, o, format); });
+  save("fig02_ratio_cdf", [&](std::ostream& o) { WriteFig2Csv(exp, o, format, executor); });
   save("fig03_threshold_sweep", [&](std::ostream& o) { WriteFig3Csv(exp, o, format); });
   save("fig04_candidate_ases", [&](std::ostream& o) { WriteFig4Csv(exp, o, format); });
   save("fig05_mixed_operators", [&](std::ostream& o) { WriteFig5Csv(exp, o, format); });
   save("fig06_operator_breakdown",
-       [&](std::ostream& o) { WriteFig6Csv(exp, o, format); });
+       [&](std::ostream& o) { WriteFig6Csv(exp, o, format, executor); });
   save("fig07_ranked_as_demand", [&](std::ostream& o) { WriteFig7Csv(exp, o, format); });
   save("fig08_subnet_concentration",
-       [&](std::ostream& o) { WriteFig8Csv(exp, o, format); });
+       [&](std::ostream& o) { WriteFig8Csv(exp, o, format, executor); });
   save("fig09_resolver_sharing",
        [&](std::ostream& o) { WriteFig9Csv(exp, dns, o, format); });
   save("fig10_public_dns", [&](std::ostream& o) { WriteFig10Csv(exp, dns, o, format); });
   save("fig11_fig12_countries",
-       [&](std::ostream& o) { WriteCountryCsv(exp, o, format); });
+       [&](std::ostream& o) { WriteCountryCsv(exp, o, format, executor); });
   return written;
 }
 

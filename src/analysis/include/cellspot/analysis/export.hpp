@@ -13,6 +13,7 @@
 
 #include "cellspot/analysis/reports.hpp"
 #include "cellspot/dns/dns_simulator.hpp"
+#include "cellspot/exec/executor.hpp"
 #include "cellspot/util/sink.hpp"
 
 namespace cellspot::analysis {
@@ -22,7 +23,8 @@ void WriteFig1Csv(std::ostream& out, util::TableFormat format = util::TableForma
 
 /// Fig 2: ratio, F(x) for v4/v6 subnets and demand.
 void WriteFig2Csv(const Experiment& exp, std::ostream& out,
-                  util::TableFormat format = util::TableFormat::kCsv);
+                  util::TableFormat format = util::TableFormat::kCsv,
+                  exec::Executor& executor = exec::Executor::Shared());
 
 /// Fig 3: carrier, threshold, F1 (CIDR + demand), precision, recall.
 void WriteFig3Csv(const Experiment& exp, std::ostream& out,
@@ -39,7 +41,8 @@ void WriteFig5Csv(const Experiment& exp, std::ostream& out,
 /// Fig 6: per-block (ratio, demand) for the dedicated and mixed example
 /// carriers.
 void WriteFig6Csv(const Experiment& exp, std::ostream& out,
-                  util::TableFormat format = util::TableFormat::kCsv);
+                  util::TableFormat format = util::TableFormat::kCsv,
+                  exec::Executor& executor = exec::Executor::Shared());
 
 /// Fig 7: rank, share of global cellular demand.
 void WriteFig7Csv(const Experiment& exp, std::ostream& out,
@@ -47,7 +50,8 @@ void WriteFig7Csv(const Experiment& exp, std::ostream& out,
 
 /// Fig 8: rank, cellular DU, fixed DU for the mixed example carrier.
 void WriteFig8Csv(const Experiment& exp, std::ostream& out,
-                  util::TableFormat format = util::TableFormat::kCsv);
+                  util::TableFormat format = util::TableFormat::kCsv,
+                  exec::Executor& executor = exec::Executor::Shared());
 
 /// Fig 9: resolver cellular-fraction CDF points.
 void WriteFig9Csv(const Experiment& exp, const dns::DnsSimulator& dns, std::ostream& out,
@@ -59,14 +63,19 @@ void WriteFig10Csv(const Experiment& exp, const dns::DnsSimulator& dns, std::ost
 
 /// Fig 11/12: country, continent, cellular DU, total DU, fraction.
 void WriteCountryCsv(const Experiment& exp, std::ostream& out,
-                     util::TableFormat format = util::TableFormat::kCsv);
+                     util::TableFormat format = util::TableFormat::kCsv,
+                     exec::Executor& executor = exec::Executor::Shared());
 
 /// Write every figure series into `dir` as fig01_* .. fig11_fig12_*
 /// (fig11 and fig12 share the country file), with the extension matching
 /// `format` (.csv/.json/.txt). Returns the paths written. Throws
-/// std::runtime_error if a file cannot be opened.
+/// std::runtime_error if a file cannot be opened. The figures are
+/// written one after another (the executor is not reentrant), each
+/// report running its per-row work on `executor`; the whole export is
+/// one "analysis.export" trace span whose items are the files written.
 [[nodiscard]] std::vector<std::string> ExportAllFigures(
     const Experiment& exp, const dns::DnsSimulator& dns, const std::string& dir,
-    util::TableFormat format = util::TableFormat::kCsv);
+    util::TableFormat format = util::TableFormat::kCsv,
+    exec::Executor& executor = exec::Executor::Shared());
 
 }  // namespace cellspot::analysis

@@ -1,9 +1,12 @@
 #include "cellspot/analysis/reports.hpp"
 
 #include <algorithm>
+#include <cstdint>
 #include <map>
 #include <set>
+#include <span>
 
+#include "cellspot/core/sharded_aggregation.hpp"
 #include "cellspot/geo/country.hpp"
 #include "cellspot/util/stable_map.hpp"
 
@@ -17,10 +20,29 @@ using geo::Continent;
 
 constexpr std::size_t Idx(Continent c) { return static_cast<std::size_t>(c); }
 
-const AsRecord* RecordOfBlock(const Experiment& exp, const netaddr::Prefix& block) {
-  const auto origin = exp.world.rib().OriginOf(block.address());
-  if (!origin) return nullptr;
-  return exp.world.as_db().Find(*origin);
+/// Rows per ParallelFor chunk of the per-row probes.
+constexpr std::size_t kGrain = 4096;
+
+/// Origin AS of every (block, value) row, 0 (reserved) where unrouted.
+/// No AS record has ASN 0 (AsDatabase rejects it), so an unrouted row
+/// finds no record.
+template <typename Row>
+std::vector<AsNumber> OriginsOf(const Experiment& exp, std::span<const Row> rows,
+                                exec::Executor& executor) {
+  return core::ResolveOrigins(
+      exp.world.rib(), rows.size(), [&](std::size_t i) { return rows[i].first.address(); },
+      executor);
+}
+
+/// Indices of the rows whose origin is `asn`, in row order. The
+/// reserved ASN 0 marks unrouted rows, so it owns none.
+std::vector<std::size_t> RowsOfAs(std::span<const AsNumber> origins, AsNumber asn) {
+  std::vector<std::size_t> picked;
+  if (asn == 0) return picked;
+  for (std::size_t i = 0; i < origins.size(); ++i) {
+    if (origins[i] == asn) picked.push_back(i);
+  }
+  return picked;
 }
 
 util::StableSet<std::string> ExcludedIsos(const Experiment& exp) {
@@ -33,21 +55,29 @@ util::StableSet<std::string> ExcludedIsos(const Experiment& exp) {
 
 }  // namespace
 
-DatasetSummary SummarizeDatasets(const Experiment& exp) {
+DatasetSummary SummarizeDatasets(const Experiment& exp, exec::Executor& executor) {
   DatasetSummary s;
   s.beacon_v4_blocks = exp.beacons.block_count(netaddr::Family::kIpv4);
   s.beacon_v6_blocks = exp.beacons.block_count(netaddr::Family::kIpv6);
   s.demand_v4_blocks = exp.demand.block_count(netaddr::Family::kIpv4);
   s.demand_v6_blocks = exp.demand.block_count(netaddr::Family::kIpv6);
 
+  const auto rows = exp.demand.rows();
+  std::vector<std::uint8_t> seen(rows.size());
+  executor.ParallelFor(rows.size(), kGrain, [&](std::size_t begin, std::size_t end) {
+    for (std::size_t i = begin; i < end; ++i) {
+      seen[i] = exp.beacons.Find(rows[i].first) != nullptr;
+    }
+  });
   std::size_t demand_v4_with_beacons = 0;
   double covered_weight = 0.0;
   double total_weight = 0.0;
-  for (const auto& [block, du] : exp.demand.rows()) {
+  for (std::size_t i = 0; i < rows.size(); ++i) {
+    const auto& [block, du] = rows[i];
     total_weight += du;
-    const bool seen = exp.beacons.Find(block) != nullptr;
-    if (seen) covered_weight += du;
-    if (seen && block.family() == netaddr::Family::kIpv4) ++demand_v4_with_beacons;
+    if (!seen[i]) continue;
+    covered_weight += du;
+    if (block.family() == netaddr::Family::kIpv4) ++demand_v4_with_beacons;
   }
   if (s.demand_v4_blocks > 0) {
     s.beacon_coverage_of_demand_v4 =
@@ -59,23 +89,36 @@ DatasetSummary SummarizeDatasets(const Experiment& exp) {
   return s;
 }
 
-std::vector<ContinentSubnetRow> ContinentSubnetReport(const Experiment& exp) {
+std::vector<ContinentSubnetRow> ContinentSubnetReport(const Experiment& exp,
+                                                      exec::Executor& executor) {
+  const auto blocks = exp.classified.ratios();
+  const std::vector<AsNumber> origins = OriginsOf(exp, blocks, executor);
+  // Row i's origin continent (kUnattributed: no AS record) and verdict.
+  constexpr auto kUnattributed = static_cast<std::uint8_t>(geo::kContinentCount);
+  std::vector<std::uint8_t> continent(blocks.size());
+  std::vector<std::uint8_t> cellular(blocks.size());
+  executor.ParallelFor(blocks.size(), kGrain, [&](std::size_t begin, std::size_t end) {
+    for (std::size_t i = begin; i < end; ++i) {
+      const AsRecord* record = exp.world.as_db().Find(origins[i]);
+      continent[i] =
+          record == nullptr ? kUnattributed : static_cast<std::uint8_t>(Idx(record->continent));
+      cellular[i] = record != nullptr && exp.classified.IsCellular(blocks[i].first);
+    }
+  });
+
   std::array<ContinentSubnetRow, geo::kContinentCount> rows{};
   std::array<std::size_t, geo::kContinentCount> observed_v4{};
   std::array<std::size_t, geo::kContinentCount> observed_v6{};
   for (Continent c : geo::AllContinents()) rows[Idx(c)].continent = c;
-
-  for (const auto& [block, ratio] : exp.classified.ratios()) {
-    const AsRecord* record = RecordOfBlock(exp, block);
-    if (record == nullptr) continue;
-    const std::size_t ci = Idx(record->continent);
-    const bool cellular = exp.classified.IsCellular(block);
-    if (block.family() == netaddr::Family::kIpv4) {
+  for (std::size_t i = 0; i < blocks.size(); ++i) {
+    const std::size_t ci = continent[i];
+    if (ci == kUnattributed) continue;
+    if (blocks[i].first.family() == netaddr::Family::kIpv4) {
       ++observed_v4[ci];
-      if (cellular) ++rows[ci].cell_v4;
+      if (cellular[i]) ++rows[ci].cell_v4;
     } else {
       ++observed_v6[ci];
-      if (cellular) ++rows[ci].cell_v6;
+      if (cellular[i]) ++rows[ci].cell_v6;
     }
   }
   for (Continent c : geo::AllContinents()) {
@@ -135,9 +178,11 @@ std::vector<RankedAs> RankAsesByCellDemand(const Experiment& exp) {
   return ranked;
 }
 
-std::vector<CountryDemand> CountryDemandReport(const Experiment& exp) {
-  const auto excluded = ExcludedIsos(exp);
-  std::map<std::string, CountryDemand> by_iso;
+std::vector<CountryDemand> CountryDemandReport(const Experiment& exp,
+                                               exec::Executor& executor) {
+  const auto rows = exp.demand.rows();
+  const auto records = exp.world.as_db().records();
+  const std::vector<AsNumber> origins = OriginsOf(exp, rows, executor);
 
   // Cellular demand is counted from the final cellular-address map: a
   // block must be classified cellular AND live in one of the kept
@@ -145,21 +190,40 @@ std::vector<CountryDemand> CountryDemandReport(const Experiment& exp) {
   util::StableSet<AsNumber> kept;
   for (const core::AsAggregate& as : exp.filtered.kept) kept.Insert(as.asn);
 
-  for (const auto& [block, du] : exp.demand.rows()) {
-    const auto origin = exp.world.rib().OriginOf(block.address());
-    if (!origin) continue;
-    const AsRecord* record = exp.world.as_db().Find(*origin);
-    if (record == nullptr || record->country_iso.empty()) continue;
-    CountryDemand& cd = by_iso[record->country_iso];
-    if (cd.iso.empty()) {
-      cd.iso = record->country_iso;
-      cd.continent = record->continent;
-      cd.excluded = excluded.Contains(cd.iso);
+  // Row i's AS record (nullptr: unrouted, no record or no ISO) and
+  // whether its demand counts as cellular.
+  std::vector<const AsRecord*> record_of(rows.size());
+  std::vector<std::uint8_t> kept_cellular(rows.size());
+  executor.ParallelFor(rows.size(), kGrain, [&](std::size_t begin, std::size_t end) {
+    for (std::size_t i = begin; i < end; ++i) {
+      const AsRecord* record = exp.world.as_db().Find(origins[i]);
+      if (record == nullptr || record->country_iso.empty()) continue;
+      record_of[i] = record;
+      kept_cellular[i] = kept.Contains(origins[i]) && exp.classified.IsCellular(rows[i].first);
     }
-    cd.total_du += du;
-    if (kept.Contains(*origin) && exp.classified.IsCellular(block)) {
-      cd.cell_du += du;
+  });
+
+  // One pass in row order, so each country adds its rows' demand in
+  // the order a row-by-row join does. A record finds its country once,
+  // when the first of its rows arrives, so only countries with routed
+  // demand appear.
+  const auto excluded = ExcludedIsos(exp);
+  std::map<std::string, CountryDemand> by_iso;
+  std::vector<CountryDemand*> country_of(records.size(), nullptr);
+  for (std::size_t i = 0; i < rows.size(); ++i) {
+    const AsRecord* record = record_of[i];
+    if (record == nullptr) continue;
+    CountryDemand*& cd = country_of[static_cast<std::size_t>(record - records.data())];
+    if (cd == nullptr) {
+      cd = &by_iso[record->country_iso];
+      if (cd->iso.empty()) {
+        cd->iso = record->country_iso;
+        cd->continent = record->continent;
+        cd->excluded = excluded.Contains(cd->iso);
+      }
     }
+    cd->total_du += rows[i].second;
+    if (kept_cellular[i]) cd->cell_du += rows[i].second;
   }
 
   std::vector<CountryDemand> out;
@@ -168,8 +232,9 @@ std::vector<CountryDemand> CountryDemandReport(const Experiment& exp) {
   return out;
 }
 
-std::vector<ContinentDemandRow> ContinentDemandReport(const Experiment& exp) {
-  const auto countries = CountryDemandReport(exp);
+std::vector<ContinentDemandRow> ContinentDemandReport(const Experiment& exp,
+                                                      exec::Executor& executor) {
+  const auto countries = CountryDemandReport(exp, executor);
   const auto excluded = ExcludedIsos(exp);
 
   std::array<ContinentDemandRow, geo::kContinentCount> rows{};
@@ -203,16 +268,21 @@ std::vector<ContinentDemandRow> ContinentDemandReport(const Experiment& exp) {
   return {rows.begin(), rows.end()};
 }
 
-RatioDistributions RatioCdfReport(const Experiment& exp) {
+RatioDistributions RatioCdfReport(const Experiment& exp, exec::Executor& executor) {
+  const auto rows = exp.classified.ratios();
+  std::vector<double> demand(rows.size());
+  executor.ParallelFor(rows.size(), kGrain, [&](std::size_t begin, std::size_t end) {
+    for (std::size_t i = begin; i < end; ++i) demand[i] = exp.demand.DemandOf(rows[i].first);
+  });
   std::vector<double> v4_ratios, v6_ratios, v4_weights, v6_weights;
-  for (const auto& [block, ratio] : exp.classified.ratios()) {
-    const double du = exp.demand.DemandOf(block);
+  for (std::size_t i = 0; i < rows.size(); ++i) {
+    const auto& [block, ratio] = rows[i];
     if (block.family() == netaddr::Family::kIpv4) {
       v4_ratios.push_back(ratio);
-      v4_weights.push_back(du);
+      v4_weights.push_back(demand[i]);
     } else {
       v6_ratios.push_back(ratio);
-      v6_weights.push_back(du);
+      v6_weights.push_back(demand[i]);
     }
   }
   RatioDistributions out;
@@ -261,30 +331,38 @@ MixedOperatorDistributions MixedOperatorReport(const Experiment& exp) {
   return out;
 }
 
-std::vector<OperatorBlockPoint> OperatorRatioBreakdown(const Experiment& exp,
-                                                       AsNumber asn) {
-  std::vector<OperatorBlockPoint> out;
-  for (const auto& [block, ratio] : exp.classified.ratios()) {
-    const auto origin = exp.world.rib().OriginOf(block.address());
-    if (!origin || *origin != asn) continue;
-    out.push_back({ratio, exp.demand.DemandOf(block)});
-  }
+std::vector<OperatorBlockPoint> OperatorRatioBreakdown(const Experiment& exp, AsNumber asn,
+                                                       exec::Executor& executor) {
+  const auto rows = exp.classified.ratios();
+  const std::vector<std::size_t> picked = RowsOfAs(OriginsOf(exp, rows, executor), asn);
+  std::vector<OperatorBlockPoint> out(picked.size());
+  executor.ParallelFor(picked.size(), kGrain, [&](std::size_t begin, std::size_t end) {
+    for (std::size_t k = begin; k < end; ++k) {
+      const auto& [block, ratio] = rows[picked[k]];
+      out[k] = {ratio, exp.demand.DemandOf(block)};
+    }
+  });
   std::sort(out.begin(), out.end(), [](const auto& a, const auto& b) {
     return a.ratio < b.ratio;
   });
   return out;
 }
 
-SubnetConcentration SubnetConcentrationReport(const Experiment& exp, AsNumber asn) {
-  SubnetConcentration out;
-  for (const auto& [block, du] : exp.demand.rows()) {
-    const auto origin = exp.world.rib().OriginOf(block.address());
-    if (!origin || *origin != asn || du <= 0.0) continue;
-    if (exp.classified.IsCellular(block)) {
-      out.cellular_demands.push_back(du);
-    } else {
-      out.fixed_demands.push_back(du);
+SubnetConcentration SubnetConcentrationReport(const Experiment& exp, AsNumber asn,
+                                              exec::Executor& executor) {
+  const auto rows = exp.demand.rows();
+  const std::vector<std::size_t> picked = RowsOfAs(OriginsOf(exp, rows, executor), asn);
+  std::vector<std::uint8_t> cellular(picked.size());
+  executor.ParallelFor(picked.size(), kGrain, [&](std::size_t begin, std::size_t end) {
+    for (std::size_t k = begin; k < end; ++k) {
+      cellular[k] = exp.classified.IsCellular(rows[picked[k]].first);
     }
+  });
+  SubnetConcentration out;
+  for (std::size_t k = 0; k < picked.size(); ++k) {
+    const double du = rows[picked[k]].second;
+    if (du <= 0.0) continue;
+    (cellular[k] ? out.cellular_demands : out.fixed_demands).push_back(du);
   }
   std::sort(out.cellular_demands.begin(), out.cellular_demands.end(), std::greater<>());
   std::sort(out.fixed_demands.begin(), out.fixed_demands.end(), std::greater<>());

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <numeric>
 
+#include "cellspot/obs/trace.hpp"
 #include "cellspot/util/rng.hpp"
 
 namespace cellspot::dns {
@@ -26,7 +27,9 @@ netaddr::IpAddress ResolverAddress(std::uint32_t ordinal) {
 }  // namespace
 
 DnsSimulator::DnsSimulator(const simnet::World& world, std::uint64_t seed_offset) {
+  obs::TraceSpan span("dns.simulate");
   Build(world, world.config().seed ^ (0xD75ULL + seed_offset));
+  span.set_items(resolvers_.size());
 }
 
 void DnsSimulator::Build(const simnet::World& world, std::uint64_t seed) {

@@ -4,6 +4,8 @@
 
 #include <map>
 
+#include "cellspot/obs/metrics.hpp"
+
 namespace cellspot::dns {
 namespace {
 
@@ -32,6 +34,18 @@ TEST(ResolverStats, CellularFraction) {
   r.cell_du = 1.0;
   r.fixed_du = 3.0;
   EXPECT_DOUBLE_EQ(r.CellularFraction(), 0.25);
+}
+
+TEST(DnsSimulator, RecordsOneSimulateSpanPerConstruction) {
+  const simnet::World& world = TinyWorld();
+  auto& reg = obs::MetricsRegistry::Global();
+  reg.ResetForTest();
+  const DnsSimulator sim(world);
+  const obs::MetricsSnapshot snap = reg.Snapshot();
+  ASSERT_EQ(snap.spans.size(), 1u);
+  EXPECT_EQ(snap.spans[0].path, "dns.simulate");
+  EXPECT_EQ(snap.spans[0].count, 1u);
+  EXPECT_EQ(snap.spans[0].items, sim.resolvers().size());
 }
 
 TEST(DnsSimulator, Deterministic) {

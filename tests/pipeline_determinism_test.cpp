@@ -118,15 +118,16 @@ TEST(PipelineDeterminism, IdenticalResultsAtOneTwoAndEightThreads) {
 /// Every figure writer that depends only on the experiment, in one
 /// stream: any unordered iteration in the report/export layer would
 /// show up as a byte diff between thread counts.
-std::string FigureCsvBundle(const analysis::Experiment& e) {
+std::string FigureCsvBundle(const analysis::Experiment& e, exec::Executor& executor) {
+  constexpr auto kCsv = util::TableFormat::kCsv;
   std::ostringstream out;
-  analysis::WriteFig2Csv(e, out);
+  analysis::WriteFig2Csv(e, out, kCsv, executor);
   analysis::WriteFig4Csv(e, out);
   analysis::WriteFig5Csv(e, out);
-  analysis::WriteFig6Csv(e, out);
+  analysis::WriteFig6Csv(e, out, kCsv, executor);
   analysis::WriteFig7Csv(e, out);
-  analysis::WriteFig8Csv(e, out);
-  analysis::WriteCountryCsv(e, out);
+  analysis::WriteFig8Csv(e, out, kCsv, executor);
+  analysis::WriteCountryCsv(e, out, kCsv, executor);
   return out.str();
 }
 
@@ -152,8 +153,8 @@ TEST(PipelineDeterminism, ReportsExportsAndChurnAreThreadCountInvariant) {
     EXPECT_EQ(rank[i].cell_demand_du, ref_rank[i].cell_demand_du);
     EXPECT_EQ(rank[i].share_of_global_cell, ref_rank[i].share_of_global_cell);
   }
-  const auto ref_country = analysis::CountryDemandReport(ref);
-  const auto country = analysis::CountryDemandReport(e);
+  const auto ref_country = analysis::CountryDemandReport(ref, ex1);
+  const auto country = analysis::CountryDemandReport(e, ex8);
   ASSERT_EQ(country.size(), ref_country.size());
   for (std::size_t i = 0; i < country.size(); ++i) {
     EXPECT_EQ(country[i].iso, ref_country[i].iso) << "row " << i;
@@ -162,7 +163,7 @@ TEST(PipelineDeterminism, ReportsExportsAndChurnAreThreadCountInvariant) {
   }
 
   // Export layer: the figure CSVs are byte-identical.
-  EXPECT_EQ(FigureCsvBundle(e), FigureCsvBundle(ref));
+  EXPECT_EQ(FigureCsvBundle(e, ex8), FigureCsvBundle(ref, ex1));
 
   // Evolution layer: churn simulations seeded from worlds built at
   // different thread counts stay in lockstep (churn.cpp's pass-2

@@ -98,7 +98,7 @@ TEST(QueryPresets, ByteIdenticalToReportsAtOneTwoEightThreads) {
   const SnapshotFiles files = WriteTinySnapshots(dir);
   const analysis::Experiment& exp = TinyExp();
 
-  // The reference bytes, produced by the sequential report/export path.
+  // The reference bytes, produced by the analysis report/export path.
   std::stringstream fig2_ref;
   analysis::WriteFig2Csv(exp, fig2_ref);
   std::stringstream country_ref;

@@ -31,6 +31,29 @@ std::string RenderCsv(const Table& t) {
   return out.str();
 }
 
+/// The two tables render to the same CSV bytes. On a mismatch it
+/// reports the first differing line, with its row index, and nothing
+/// else, so a broken join fails fast with a short log.
+void ExpectSameRendering(const Table& got, const Table& want, const std::string& what) {
+  const std::string got_csv = RenderCsv(got);
+  const std::string want_csv = RenderCsv(want);
+  if (got_csv == want_csv) return;
+  std::stringstream got_in(got_csv);
+  std::stringstream want_in(want_csv);
+  std::string got_line;
+  std::string want_line;
+  for (std::size_t line = 0;; ++line) {
+    const bool has_got = static_cast<bool>(std::getline(got_in, got_line));
+    const bool has_want = static_cast<bool>(std::getline(want_in, want_line));
+    if (has_got && has_want && got_line == want_line) continue;
+    ADD_FAILURE() << what << ": first difference at "
+                  << (line == 0 ? std::string("the header") : "row " + std::to_string(line - 1))
+                  << "\n  got:  " << (has_got ? got_line : "<end>")
+                  << "\n  want: " << (has_want ? want_line : "<end>");
+    return;
+  }
+}
+
 /// BuildTables at 1, 2 and 8 threads equals the reference join, table
 /// by table, and the string dictionaries do not depend on the thread
 /// count.
@@ -45,7 +68,8 @@ void ExpectMatchesReference(const ArtifactRefs& refs) {
     for (const char* name : {"beacon", "demand", "classified"}) {
       const Table& table = got.Find(name);
       ASSERT_EQ(table.row_count(), ref.Find(name).row_count()) << name;
-      EXPECT_EQ(RenderCsv(table), RenderCsv(ref.Find(name))) << name << " at " << threads;
+      ExpectSameRendering(table, ref.Find(name),
+                          std::string(name) + " at " + std::to_string(threads) + " threads");
       EXPECT_EQ(table.FindColumn("block")->type, ColumnType::kPrefix);
       for (const Column& c : table.columns()) {
         for (const std::string& s : c.dict) dicts.push_back(c.name + "=" + s);

@@ -4,7 +4,7 @@
 #   tools/ci.sh              # all variants
 #   tools/ci.sh plain        # RelWithDebInfo only
 #   tools/ci.sh sanitize     # ASan+UBSan only
-#   tools/ci.sh tsan         # ThreadSanitizer (executor + pipeline + obs tests)
+#   tools/ci.sh tsan         # ThreadSanitizer (executor, pipeline, report and obs tests)
 #   tools/ci.sh bench-smoke  # fast bench-harness run, validates BENCH JSON and
 #                            # gates sharded_aggregation against its committed
 #                            # trajectory (--update-baseline blesses a new one)
@@ -51,17 +51,21 @@ run() {
 }
 
 # The TSan variant concentrates on the threaded surface: the executor's
-# own tests plus the pipeline determinism suite, driven with a forced
-# multi-worker pool so the work-stealing paths actually interleave.
+# own tests, the pipeline determinism suite and the report differential
+# (the reports run ParallelFor bodies over shared containers), driven
+# with a forced multi-worker pool so the work-stealing paths actually
+# interleave.
 # tools/tsan.supp silences the one known-benign report (lgamma's
 # POSIX-mandated signgam store, see the comment there).
 run_tsan() {
   local dir="build-tsan"
   cmake -B "$dir" -S . -DCELLSPOT_SANITIZE=thread
-  cmake --build "$dir" -j "$jobs" --target exec_test pipeline_determinism_test obs_metrics_test
+  cmake --build "$dir" -j "$jobs" --target exec_test pipeline_determinism_test obs_metrics_test \
+    analysis_report_differential_test
   local tsan_opts="suppressions=$PWD/tools/tsan.supp halt_on_error=1"
   TSAN_OPTIONS="$tsan_opts" CELLSPOT_THREADS=4 "$dir/tests/exec_test"
   TSAN_OPTIONS="$tsan_opts" CELLSPOT_THREADS=4 "$dir/tests/pipeline_determinism_test"
+  TSAN_OPTIONS="$tsan_opts" CELLSPOT_THREADS=4 "$dir/tests/analysis_report_differential_test"
   TSAN_OPTIONS="$tsan_opts" CELLSPOT_THREADS=8 "$dir/tests/obs_metrics_test"
 }
 

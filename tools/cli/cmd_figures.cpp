@@ -5,6 +5,7 @@
 #include "cellspot/analysis/export.hpp"
 #include "cellspot/analysis/pipeline.hpp"
 #include "cellspot/dns/dns_simulator.hpp"
+#include "cellspot/exec/executor.hpp"
 #include "cellspot/util/sink.hpp"
 #include "cli/command.hpp"
 #include "cli/exit_codes.hpp"
@@ -29,11 +30,12 @@ int CmdFigures(const Options& opts) {
   std::printf("running pipeline (scale %.3g)...\n", config.scale);
   analysis::Pipeline pipeline({.world = config, .snapshot_dir = SnapshotDir(opts)});
   pipeline.Run();
+  exec::Executor& executor = pipeline.executor();
   const analysis::Experiment exp = std::move(pipeline).TakeExperiment();
   const dns::DnsSimulator dns_sim(exp.world);
   try {
     for (const std::string& file :
-         analysis::ExportAllFigures(exp, dns_sim, *dir, format)) {
+         analysis::ExportAllFigures(exp, dns_sim, *dir, format, executor)) {
       std::printf("  wrote %s\n", file.c_str());
     }
   } catch (const std::exception& e) {
